@@ -13,6 +13,13 @@ views of the same realization are available:
 For static channels the symbol-wrapped matrix reproduces the physical
 convolution path exactly; with Doppler the two differ only through tap
 variation across the CP samples.
+
+The runtime path is per symbol: ``apply_time_channel`` filters a frame tap
+by tap, and ``symbol_channel_blocks`` returns the ``(n_doppler_bins,
+n_subcarriers, n_subcarriers)`` stack of diagonal blocks that the receivers
+factor.  The dense ``frame_size x frame_size`` builders
+(``build_time_channel_matrix``, ``build_equivalent_channel``) are oracles
+for tests and for ``inspect-channel``; no trial forms them.
 """
 
 from __future__ import annotations
@@ -422,16 +429,17 @@ def cfr_from_cir(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
     return _cfr_from_gains(cir.gains, config)
 
 
-def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
-    """Full per-symbol frequency-domain channel matrices, shape
+def symbol_channel_blocks(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
+    """Per-symbol time-domain channel blocks, shape
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
-    Entry ``[n]`` is the DFT conjugation of symbol ``n``'s circular block;
-    its diagonal equals column ``n`` of the extracted frequency response,
-    its off-diagonals are the intercarrier coupling a single-tap equalizer
-    ignores.
+    Entry ``[n]`` is symbol ``n``'s circular block, the ``n``-th diagonal
+    block of ``build_time_channel_matrix(cir, config, wrap="symbol")``:
+    row ``s`` carries tap ``d`` at column ``(s - d) mod n_subcarriers``.
     """
     n_sub, n_dop = config.n_subcarriers, config.n_doppler_bins
+    if cir.gains.shape != (config.max_delay_taps, config.frame_size):
+        raise ValueError("channel realization does not match the frame config")
     s = np.arange(n_sub)
     blocks = np.zeros((n_dop, n_sub, n_sub), dtype=np.complex128)
     for d in range(cir.n_taps):
@@ -439,7 +447,19 @@ def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.nd
         if not g.any():
             continue
         blocks[:, s, (s - d) % n_sub] = g.reshape(n_dop, n_sub)
-    freq = np.fft.fft(blocks, axis=1, norm="ortho")
+    return blocks
+
+
+def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
+    """Full per-symbol frequency-domain channel matrices, shape
+    ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
+
+    Entry ``[n]`` is the DFT conjugation ``F H_n F^H`` of symbol ``n``'s
+    circular block; its diagonal equals column ``n`` of the extracted
+    frequency response, its off-diagonals are the intercarrier coupling a
+    single-tap equalizer ignores.
+    """
+    freq = np.fft.fft(symbol_channel_blocks(cir, config), axis=1, norm="ortho")
     return np.fft.ifft(freq, axis=2, norm="ortho")
 
 

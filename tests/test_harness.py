@@ -299,7 +299,7 @@ class TestPresets:
         assert config.frame.n_subcarriers == 512
         assert config.frame.frame_size == 8192
         assert config.frame.cp_len == 256
-        # dense equalizers are out of the default list at this scale
+        # full MMSE stays out of the default list at this scale
         assert "otfs_full_mmse" not in config.equalizers
 
 
