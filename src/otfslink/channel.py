@@ -1,18 +1,12 @@
-"""Time-varying multipath channel: fading generation, matrix models, analysis.
+"""Time-varying multipath channel: fading generation, matrix model, analysis.
 
-A channel realization holds one complex gain process per discrete delay tap,
-sampled at the physical sample times of the CP-extended frame.  Two matrix
-views of the same realization are available:
-
-* ``wrap="frame"``: banded-circular over the whole frame; row ``i`` holds
-  tap ``d`` at column ``(i - d) mod N``.
-* ``wrap="symbol"``: block-diagonal with one circular band per OFDM symbol;
-  this is what per-symbol cyclic prefixes actually produce after CP removal,
-  and is the model the link simulation uses.
-
-For static channels the symbol-wrapped matrix reproduces the physical
-convolution path exactly; with Doppler the two differ only through tap
-variation across the CP samples.
+A channel realization is a tapped delay line: the profile's tap delays and
+one complex gain process per tap, sampled at the physical sample times of
+the CP-extended frame.  Its matrix model is block diagonal with one
+circular band per OFDM symbol, which is what per-symbol cyclic prefixes
+produce after CP removal.  For static channels this matrix reproduces the
+physical convolution path exactly; with Doppler the two differ only
+through tap variation across the CP samples.
 
 The runtime path is per symbol: ``apply_time_channel`` filters a frame tap
 by tap, and ``symbol_channel_blocks`` returns the ``(n_doppler_bins,
@@ -24,7 +18,6 @@ for tests and for ``inspect-channel``; no trial forms them.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -94,20 +87,6 @@ class TapProfile:
         delays = [round(d * 1e-6 * sample_rate) for d in delays_us]
         return cls.from_powers_db(delays, list(powers_db))
 
-    @classmethod
-    def from_json(cls, path: str, sample_rate: float) -> "TapProfile":
-        """Load ``{"delays_us": [...], "powers_db": [...]}`` from a file."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("tap profile file must hold a JSON object")
-        unknown = set(raw) - {"delays_us", "powers_db"}
-        if unknown:
-            raise ValueError(f"unknown tap profile keys: {sorted(unknown)}")
-        if "delays_us" not in raw or "powers_db" not in raw:
-            raise ValueError("tap profile needs delays_us and powers_db")
-        return cls.from_microseconds(raw["delays_us"], raw["powers_db"], sample_rate)
-
 
 def tu6_profile(sample_rate: float) -> TapProfile:
     """COST 207 TU6 profile rounded to the given sample rate."""
@@ -120,29 +99,36 @@ def single_tap_profile() -> TapProfile:
 
 @dataclass(frozen=True)
 class TimeVaryingCir:
-    """One channel realization, sampled on the CP-extended frame.
+    """One channel realization: the taps of a tapped delay line.
 
-    ``gains`` has shape ``(max_delay_taps, frame_size)`` and holds every tap
-    at the post-CP-removal sample times; ``full_gains`` covers all physical
-    samples including the prefixes, for the convolution path.
+    ``delays`` are the tap delays in samples, ascending.  Row ``k`` of
+    ``gains`` is the gain of tap ``delays[k]`` at every physical sample of
+    the CP-extended frame, shape ``(len(delays), frame_size_with_cp)``.
     """
 
+    delays: tuple[int, ...]
     gains: np.ndarray
-    full_gains: np.ndarray
-    frame_sample_index: np.ndarray
     doppler_hz: float
 
-    @property
-    def n_taps(self) -> int:
-        return self.gains.shape[0]
+    def frame_gains(self, config: FrameConfig) -> np.ndarray:
+        """Tap gains at the post-CP-removal sample times, shape
+        ``(len(delays), n_doppler_bins, n_subcarriers)``: a view of
+        ``gains`` without each symbol's prefix samples."""
+        if self.gains.shape[1] != config.frame_size_with_cp or any(
+            d >= config.max_delay_taps for d in self.delays
+        ):
+            raise ValueError("channel realization does not match the frame config")
+        stride = config.n_subcarriers + config.cp_len
+        per_symbol = self.gains.reshape(len(self.delays), config.n_doppler_bins, stride)
+        return per_symbol[:, :, config.cp_len :]
 
 
-def _physical_sample_index(config: FrameConfig) -> np.ndarray:
-    """Physical sample index of each post-CP-removal frame sample."""
-    stride = config.n_subcarriers + config.cp_len
-    symbol = np.arange(config.frame_size) // config.n_subcarriers
-    offset = np.arange(config.frame_size) % config.n_subcarriers
-    return symbol * stride + config.cp_len + offset
+def _check_profile_fits(profile: TapProfile, config: FrameConfig) -> None:
+    if profile.max_delay >= config.max_delay_taps:
+        raise ValueError(
+            f"profile max delay {profile.max_delay} exceeds channel length "
+            f"{config.max_delay_taps}"
+        )
 
 
 def generate_cir(
@@ -161,11 +147,7 @@ def generate_cir(
     """
     if doppler_hz < 0:
         raise ValueError("doppler_hz must be non-negative")
-    if profile.max_delay >= config.max_delay_taps:
-        raise ValueError(
-            f"profile max delay {profile.max_delay} exceeds channel length "
-            f"{config.max_delay_taps}"
-        )
+    _check_profile_fits(profile, config)
     if doppler_hz * config.frame_duration >= 0.5:
         warnings.warn(
             "doppler_hz * frame_duration >= 0.5: channel varies substantially "
@@ -176,24 +158,19 @@ def generate_cir(
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     tap_seeds = seed_seq.spawn(len(profile.delays))
 
-    n_phys = config.frame_size_with_cp
-    times = np.arange(n_phys) / config.sample_rate
-    full_gains = np.zeros((config.max_delay_taps, n_phys), dtype=np.complex128)
-    for delay, power, tap_seed in zip(profile.delays, profile.powers, tap_seeds):
-        rng = np.random.default_rng(tap_seed)
+    # taps are stored by ascending delay; tap k keeps the k-th seed stream
+    order = sorted(range(len(profile.delays)), key=profile.delays.__getitem__)
+    times = np.arange(config.frame_size_with_cp) / config.sample_rate
+    gains = np.empty((len(order), times.size), dtype=np.complex128)
+    for row, k in zip(gains, order):
+        rng = np.random.default_rng(tap_seeds[k])
         angles = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
         phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
         rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
         phasors = np.exp(1j * (np.outer(rates, times) + phases[:, None]))
-        full_gains[delay] = np.sqrt(power / N_SINUSOIDS) * phasors.sum(axis=0)
-
-    frame_index = _physical_sample_index(config)
-    return TimeVaryingCir(
-        gains=full_gains[:, frame_index],
-        full_gains=full_gains,
-        frame_sample_index=frame_index,
-        doppler_hz=float(doppler_hz),
-    )
+        row[:] = np.sqrt(profile.powers[k] / N_SINUSOIDS) * phasors.sum(axis=0)
+    delays = tuple(profile.delays[k] for k in order)
+    return TimeVaryingCir(delays=delays, gains=gains, doppler_hz=float(doppler_hz))
 
 
 def cir_from_gains(
@@ -203,24 +180,22 @@ def cir_from_gains(
 
     ``gains`` is either one constant per tap, shape ``(max_delay_taps,)``,
     or a full physical-time track, shape
-    ``(max_delay_taps, frame_size_with_cp)``.
+    ``(max_delay_taps, frame_size_with_cp)``.  Row ``d`` is the tap at delay
+    ``d``; all-zero rows are not stored.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     n_phys = config.frame_size_with_cp
     if gains.shape == (config.max_delay_taps,):
-        full = np.repeat(gains[:, None], n_phys, axis=1)
-    elif gains.shape == (config.max_delay_taps, n_phys):
-        full = gains.copy()
-    else:
+        gains = np.repeat(gains[:, None], n_phys, axis=1)
+    elif gains.shape != (config.max_delay_taps, n_phys):
         raise ValueError(
             f"gains must have shape ({config.max_delay_taps},) or "
             f"({config.max_delay_taps}, {n_phys}), got {gains.shape}"
         )
-    frame_index = _physical_sample_index(config)
+    delays = np.flatnonzero(gains.any(axis=1))
     return TimeVaryingCir(
-        gains=full[:, frame_index],
-        full_gains=full,
-        frame_sample_index=frame_index,
+        delays=tuple(int(d) for d in delays),
+        gains=gains[delays],
         doppler_hz=float(doppler_hz),
     )
 
@@ -229,75 +204,50 @@ def fixed_cir(profile: TapProfile, config: FrameConfig) -> TimeVaryingCir:
     """Deterministic, non-fading realization: tap ``d`` is the constant
     ``sqrt(power_d)``.  A single unit-power tap gives the identity channel,
     turning the link into a pure AWGN reference."""
-    if profile.max_delay >= config.max_delay_taps:
-        raise ValueError(
-            f"profile max delay {profile.max_delay} exceeds channel length "
-            f"{config.max_delay_taps}"
-        )
+    _check_profile_fits(profile, config)
     gains = np.zeros(config.max_delay_taps, dtype=np.complex128)
-    for delay, power in zip(profile.delays, profile.powers):
-        gains[delay] = np.sqrt(power)
+    gains[list(profile.delays)] = np.sqrt(profile.powers)
     return cir_from_gains(gains, config)
 
 
-def _check_wrap(wrap: str) -> None:
-    if wrap not in ("symbol", "frame"):
-        raise ValueError(f"wrap must be 'symbol' or 'frame', got {wrap!r}")
+def _tap_columns(config: FrameConfig, delay: int) -> np.ndarray:
+    """Column of tap ``delay`` in each row of the per-symbol-CP matrix."""
+    rows = np.arange(config.frame_size)
+    n_sub = config.n_subcarriers
+    return rows - rows % n_sub + (rows % n_sub - delay) % n_sub
 
 
-def build_time_channel_matrix(
-    cir: TimeVaryingCir, config: FrameConfig, wrap: str = "symbol"
-) -> np.ndarray:
+def build_time_channel_matrix(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
     """Dense sequential-time channel matrix of one realization.
 
-    Row ``i`` carries tap ``d`` at column ``(i - d) mod frame_size`` for
-    ``wrap="frame"``, or wrapped within the row's own OFDM symbol for
-    ``wrap="symbol"`` (the per-symbol-CP model).  A static channel under
-    ``wrap="frame"`` collapses to an ordinary circulant.
+    Block diagonal with one circular band per OFDM symbol, which is what
+    per-symbol cyclic prefixes produce after CP removal: row ``i`` carries
+    tap ``d`` at column ``(i - d) mod n_subcarriers`` of its own symbol.
     """
-    _check_wrap(wrap)
     n = config.frame_size
-    if cir.gains.shape != (config.max_delay_taps, n):
-        raise ValueError("channel realization does not match the frame config")
     h_tl = np.zeros((n, n), dtype=np.complex128)
     rows = np.arange(n)
-    for d in range(cir.n_taps):
-        g = cir.gains[d]
-        if not g.any():
-            continue
-        if wrap == "frame":
-            cols = (rows - d) % n
-        else:
-            base = rows - rows % config.n_subcarriers
-            cols = base + (rows % config.n_subcarriers - d) % config.n_subcarriers
-        h_tl[rows, cols] = g
+    for d, g in zip(cir.delays, cir.frame_gains(config)):
+        h_tl[rows, _tap_columns(config, d)] = g.ravel()
     return h_tl
 
 
 def apply_time_channel(
-    cir: TimeVaryingCir, x: np.ndarray, config: FrameConfig, wrap: str = "symbol"
+    cir: TimeVaryingCir, x: np.ndarray, config: FrameConfig
 ) -> np.ndarray:
     """Banded equivalent of ``build_time_channel_matrix(...) @ x``.
 
     Avoids forming the dense matrix; exact to the last bit since both paths
     multiply the same gains by the same samples.
     """
-    _check_wrap(wrap)
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (config.frame_size,):
         raise ValueError(f"expected vector of length {config.frame_size}")
-    y = np.zeros_like(x)
-    for d in range(cir.n_taps):
-        g = cir.gains[d]
-        if not g.any():
-            continue
-        if wrap == "frame":
-            shifted = np.roll(x, d)
-        else:
-            blocks = x.reshape(config.n_doppler_bins, config.n_subcarriers)
-            shifted = np.roll(blocks, d, axis=1).ravel()
-        y += g * shifted
-    return y
+    blocks = x.reshape(config.n_doppler_bins, config.n_subcarriers)
+    y = np.zeros_like(blocks)
+    for d, g in zip(cir.delays, cir.frame_gains(config)):
+        y += g * np.roll(blocks, d, axis=1)
+    return y.ravel()
 
 
 def noise_variance(snr_db: float) -> float:
@@ -331,13 +281,10 @@ def apply_channel(
     x = signal.validate(config)
     if not signal.has_cp:
         raise ValueError("physical channel path expects the CP-extended signal")
-    if cir.full_gains.shape[1] != x.size:
+    if cir.gains.shape[1] != x.size:
         raise ValueError("channel realization does not match the frame config")
     y = np.zeros_like(x)
-    for d in range(cir.n_taps):
-        g = cir.full_gains[d]
-        if not g.any():
-            continue
+    for d, g in zip(cir.delays, cir.gains):
         shifted = np.zeros_like(x)
         shifted[d:] = x[: x.size - d]
         y += g * shifted
@@ -390,13 +337,17 @@ def build_equivalent_channel(
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _cfr_from_gains(gains: np.ndarray, config: FrameConfig) -> np.ndarray:
-    """Subcarrier response per symbol from tap gains: DFT of the
+def _cfr_from_gains(
+    delays: "tuple[int, ...] | range", gains: np.ndarray, config: FrameConfig
+) -> np.ndarray:
+    """Subcarrier response per symbol from post-CP tap gains, shape
+    ``(len(delays), n_doppler_bins, n_subcarriers)``: DFT of the
     symbol-averaged impulse response."""
-    n_sub, n_dop = config.n_subcarriers, config.n_doppler_bins
-    per_symbol = gains.reshape(gains.shape[0], n_dop, n_sub).mean(axis=2)
-    padded = np.zeros((n_sub, n_dop), dtype=np.complex128)
-    padded[: gains.shape[0]] = per_symbol
+    # numpy rounds a mean according to memory layout; a leading-axis mean of
+    # a fresh copy always adds each symbol's samples one by one, in time order
+    per_symbol = np.moveaxis(gains, 2, 0).copy().mean(axis=0)
+    padded = np.zeros((config.n_subcarriers, config.n_doppler_bins), dtype=np.complex128)
+    padded[list(delays)] = per_symbol
     return np.fft.fft(padded, axis=0)
 
 
@@ -405,28 +356,22 @@ def extract_cfr(h_tl: np.ndarray, config: FrameConfig) -> np.ndarray:
 
     Column ``n`` is the diagonal of the symbol's circularized block after
     DFT conjugation, which reduces to the DFT of the block's time-averaged
-    impulse response.  Accepts matrices built with either wrap convention.
+    impulse response.
     """
     n = config.frame_size
     h_tl = np.asarray(h_tl, dtype=np.complex128)
     if h_tl.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} channel matrix")
-    n_sub = config.n_subcarriers
     rows = np.arange(n)
-    base = rows - rows % n_sub
-    gains = np.empty((config.max_delay_taps, n), dtype=np.complex128)
-    for d in range(config.max_delay_taps):
-        in_symbol = h_tl[rows, base + (rows % n_sub - d) % n_sub]
-        across = h_tl[rows, (rows - d) % n]
-        # the two column candidates coincide except where one is a
-        # structural zero of the wrap convention in use
-        gains[d] = np.where(in_symbol != 0, in_symbol, across)
-    return _cfr_from_gains(gains, config)
+    delays = range(config.max_delay_taps)
+    gains = np.stack([h_tl[rows, _tap_columns(config, d)] for d in delays])
+    shape = (len(delays), config.n_doppler_bins, config.n_subcarriers)
+    return _cfr_from_gains(delays, gains.reshape(shape), config)
 
 
 def cfr_from_cir(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
     """Matrix-free shortcut for ``extract_cfr(build_time_channel_matrix(...))``."""
-    return _cfr_from_gains(cir.gains, config)
+    return _cfr_from_gains(cir.delays, cir.frame_gains(config), config)
 
 
 def symbol_channel_blocks(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
@@ -434,19 +379,14 @@ def symbol_channel_blocks(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarra
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
     Entry ``[n]`` is symbol ``n``'s circular block, the ``n``-th diagonal
-    block of ``build_time_channel_matrix(cir, config, wrap="symbol")``:
-    row ``s`` carries tap ``d`` at column ``(s - d) mod n_subcarriers``.
+    block of ``build_time_channel_matrix(cir, config)``: row ``s`` carries
+    tap ``d`` at column ``(s - d) mod n_subcarriers``.
     """
-    n_sub, n_dop = config.n_subcarriers, config.n_doppler_bins
-    if cir.gains.shape != (config.max_delay_taps, config.frame_size):
-        raise ValueError("channel realization does not match the frame config")
+    n_sub = config.n_subcarriers
     s = np.arange(n_sub)
-    blocks = np.zeros((n_dop, n_sub, n_sub), dtype=np.complex128)
-    for d in range(cir.n_taps):
-        g = cir.gains[d]
-        if not g.any():
-            continue
-        blocks[:, s, (s - d) % n_sub] = g.reshape(n_dop, n_sub)
+    blocks = np.zeros((config.n_doppler_bins, n_sub, n_sub), dtype=np.complex128)
+    for d, g in zip(cir.delays, cir.frame_gains(config)):
+        blocks[:, s, (s - d) % n_sub] = g
     return blocks
 
 

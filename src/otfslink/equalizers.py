@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .frame import FrameConfig, TimeFrequencyGrid, TimeSignal, qpsk_slice
-from .transforms import dsft_inverse, otfs_demodulate
+from .transforms import otfs_demodulate
 
 FDE_MODES = ("magnitude", "mmse")
 
@@ -79,15 +79,6 @@ def fde_apply(coeffs: FdeCoefficients, grid: TimeFrequencyGrid) -> TimeFrequency
             f"signal grid {data.shape}"
         )
     return TimeFrequencyGrid(coeffs.gains * data)
-
-
-def fde_to_dd(grid: TimeFrequencyGrid, config: FrameConfig):
-    """Return the equalized frame to the delay-Doppler domain.
-
-    This is the plain inverse spreading transform; it exists as a named
-    stage so the equalizer chain reads as transmit order reversed.
-    """
-    return dsft_inverse(grid, config)
 
 
 @dataclass(frozen=True)

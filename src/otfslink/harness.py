@@ -18,7 +18,14 @@ import numpy as np
 from . import channel as chan
 from . import equalizers as eq
 from .frame import FrameConfig, TimeFrequencyGrid, TimeSignal, qpsk_map, qpsk_slice, random_bits
-from .transforms import cp_remove, ofdm_modulate, otfs_demodulate, otfs_modulate_fast, tf_stage
+from .transforms import (
+    cp_remove,
+    dsft_inverse,
+    ofdm_modulate,
+    otfs_demodulate,
+    otfs_modulate_fast,
+    tf_stage,
+)
 
 EQUALIZER_NAMES = (
     "ofdm_full_mmse",
@@ -48,10 +55,10 @@ class ExperimentConfig:
     fading: bool = True
 
     def __post_init__(self) -> None:
-        if not self.snr_db_list:
-            raise ValueError("snr_db_list must not be empty")
-        if not self.doppler_hz_list or any(f < 0 for f in self.doppler_hz_list):
-            raise ValueError("doppler_hz_list must be non-empty and non-negative")
+        if not self.snr_db_list or any(np.isnan(s) for s in self.snr_db_list):
+            raise ValueError("snr_db_list must be non-empty and hold no NaN")
+        if not self.doppler_hz_list or not all(0 <= f < np.inf for f in self.doppler_hz_list):
+            raise ValueError("doppler_hz_list must be non-empty, finite and non-negative")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if not self.equalizers:
@@ -142,7 +149,7 @@ def run_trial(
     if enabled & {"otfs_fde", "otfs_fde_dde"}:
         coeffs = eq.fde_build(cfr, var, mode=config.fde_mode)
         y_tf = tf_stage(TimeSignal(y_otfs), frame)
-        stage_one = eq.fde_to_dd(eq.fde_apply(coeffs, y_tf), frame).to_vector()
+        stage_one = dsft_inverse(eq.fde_apply(coeffs, y_tf), frame).to_vector()
         if "otfs_fde" in enabled:
             errors["otfs_fde"] = _count_errors(stage_one, bits)
 
@@ -306,6 +313,13 @@ def _parse_snr(value) -> float:
     return float(value)
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_profile(raw: dict, sample_rate: float) -> chan.TapProfile:
     if not isinstance(raw, dict):
         raise ValueError("profile must be a JSON object")
@@ -322,7 +336,8 @@ def _parse_profile(raw: dict, sample_rate: float) -> chan.TapProfile:
         return chan.TapProfile.from_microseconds(
             raw["delays_us"], raw["powers_db"], sample_rate
         )
-    return chan.TapProfile.from_powers_db(raw["delays_samples"], raw["powers_db"])
+    delays = [_json_int(d, "delays_samples entry") for d in raw["delays_samples"]]
+    return chan.TapProfile.from_powers_db(delays, raw["powers_db"])
 
 
 def load_experiment_config(source: "str | dict") -> ExperimentConfig:
@@ -363,7 +378,7 @@ def load_experiment_config(source: "str | dict") -> ExperimentConfig:
         kwargs["equalizers"] = tuple(str(v) for v in raw["equalizers"])
     for key in ("n_trials", "base_seed", "dde_iterations"):
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = _json_int(raw[key], key)
     if "fde_mode" in raw:
         kwargs["fde_mode"] = str(raw["fde_mode"])
     if "clip_threshold" in raw:

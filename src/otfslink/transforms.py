@@ -12,8 +12,10 @@ The signal path is built from three unitary pieces:
 
 All DFTs are unitary (``1/sqrt(N)`` both ways), so every stage preserves
 energy and the full modulator/demodulator chains are exact inverses of each
-other.  The runtime path uses FFTs and index arrays only; dense operator
-matrices are available for validation.
+other.  The runtime path (``otfs_modulate_fast``, the fast
+``otfs_demodulate``, ``tf_stage``) reshapes the frame to ``(n_doppler_bins,
+n_subcarriers)`` and runs one FFT along one axis; the stage-by-stage chains
+and the dense operator matrices are kept for validation.
 """
 
 from __future__ import annotations
@@ -168,10 +170,11 @@ def otfs_modulate(grid: DelayDopplerGrid, config: FrameConfig) -> TimeSignal:
 
 
 def otfs_modulate_fast(grid: DelayDopplerGrid, config: FrameConfig) -> TimeSignal:
-    """FFT-and-permutation modulator; equals :func:`otfs_modulate` exactly."""
-    interleaved = _doppler_idft_blocks(grid, config)
-    sequential = reorder_indices(config).apply(interleaved)
-    return cp_add(TimeSignal(sequential), config)
+    """Doppler IDFT per delay bin, read out symbol by symbol, plus CP;
+    equals :func:`otfs_modulate` exactly."""
+    x_dd = grid.validate(config)
+    symbols = np.fft.ifft(x_dd, axis=0, norm="ortho")
+    return cp_add(TimeSignal(symbols.ravel()), config)
 
 
 def _strip_cp(signal: TimeSignal, config: FrameConfig) -> np.ndarray:
@@ -186,16 +189,18 @@ def otfs_demodulate(
     """Receive chain back to the delay-Doppler grid.
 
     ``method="full"`` runs the stage-by-stage chain through the
-    time-frequency layout; ``"fast"`` (default) uses the collapsed
-    FFT-and-permutation form.  The two agree to machine precision.
+    time-frequency layout; ``"fast"`` (default) is the collapsed form, one
+    Doppler DFT per delay bin.  The two agree to machine precision.
     """
     y = _strip_cp(signal, config)
-    interleaved = reorder_indices(config).apply_transpose(y)
-    if method == "full":
-        tf_vec = extended_fft_apply(interleaved, config)
-        interleaved = extended_fft_apply(tf_vec, config, inverse=True)
-    elif method != "fast":
+    if method == "fast":
+        symbols = y.reshape(config.n_doppler_bins, config.n_subcarriers)
+        return DelayDopplerGrid(np.fft.fft(symbols, axis=0, norm="ortho"))
+    if method != "full":
         raise ValueError(f"unknown demodulation method: {method!r}")
+    interleaved = reorder_indices(config).apply_transpose(y)
+    tf_vec = extended_fft_apply(interleaved, config)
+    interleaved = extended_fft_apply(tf_vec, config, inverse=True)
     delay_rows = interleaved.reshape(config.n_subcarriers, config.n_doppler_bins)
     y_dd = np.fft.fft(delay_rows, axis=1, norm="ortho")
     return DelayDopplerGrid(y_dd.T)
@@ -208,9 +213,8 @@ def tf_stage(signal: TimeSignal, config: FrameConfig) -> TimeFrequencyGrid:
     for each OFDM symbol, the subcarrier values after CP removal.
     """
     y = _strip_cp(signal, config)
-    interleaved = reorder_indices(config).apply_transpose(y)
-    tf_vec = extended_fft_apply(interleaved, config)
-    return TimeFrequencyGrid.from_vector(tf_vec, config)
+    symbols = y.reshape(config.n_doppler_bins, config.n_subcarriers)
+    return TimeFrequencyGrid(np.fft.fft(symbols, axis=1, norm="ortho").T)
 
 
 def ofdm_modulate(grid: TimeFrequencyGrid, config: FrameConfig) -> TimeSignal:

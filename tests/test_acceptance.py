@@ -30,10 +30,10 @@ from otfslink import (
     dde_build,
     dde_equalize,
     dsft_forward,
+    dsft_inverse,
     extended_fft_matrix,
     fde_apply,
     fde_build,
-    fde_to_dd,
     generate_cir,
     otfs_demodulate,
     otfs_modulate,
@@ -149,7 +149,7 @@ def test_criterion_3_static_channels_equalize_exactly():
             x = cp_remove(otfs_modulate_fast(qpsk_map(bits, frame), frame), frame)
             y = apply_time_channel(cir, x.data, frame)
             coeffs = fde_build(cfr_from_cir(cir, frame), 0.0, mode="mmse")
-            grid = fde_to_dd(fde_apply(coeffs, tf_stage(TimeSignal(y), frame)), frame)
+            grid = dsft_inverse(fde_apply(coeffs, tf_stage(TimeSignal(y), frame)), frame)
             hat, _ = qpsk_slice(grid.to_vector())
             total_errors += int(np.count_nonzero(hat != bits))
             total_bits += bits.size

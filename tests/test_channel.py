@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -97,51 +96,61 @@ class TestTapProfile:
         assert p.delays == (0,)
         assert p.powers == (1.0,)
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"delays_us": [0.0, 2.0], "powers_db": [0.0, -3.0]}))
-        p = TapProfile.from_json(str(path), 1e6)
-        assert p.delays == (0, 2)
-
-        path.write_text(json.dumps({"delays_us": [0.0], "powers_db": [0.0], "x": 1}))
-        with pytest.raises(ValueError, match="unknown tap profile keys"):
-            TapProfile.from_json(str(path), 1e6)
-        path.write_text(json.dumps({"delays_us": [0.0]}))
-        with pytest.raises(ValueError, match="needs delays_us and powers_db"):
-            TapProfile.from_json(str(path), 1e6)
-        path.write_text(json.dumps([1, 2]))
-        with pytest.raises(ValueError, match="JSON object"):
-            TapProfile.from_json(str(path), 1e6)
-
 
 class TestGenerateCir:
     def test_zero_doppler_freezes_taps(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=5)
-        for row in cir.full_gains:
+        for row in cir.gains:
             assert_allclose(row, row[0], atol=0)
-        assert cir.gains.shape == (3, TOY.frame_size)
-        assert cir.full_gains.shape == (3, TOY.frame_size_with_cp)
+        assert cir.gains.shape == (3, TOY.frame_size_with_cp)
+        assert cir.frame_gains(TOY).shape == (3, TOY.n_doppler_bins, TOY.n_subcarriers)
 
     def test_unused_tap_rows_are_zero(self):
         config = FrameConfig(8, 4, max_delay_taps=4, cp_len=3, sample_rate=64e3)
         profile = TapProfile.from_powers_db([0, 2], [0.0, 0.0])
         cir = generate_cir(profile, 0.0, config, seed=5)
-        assert_array_equal(cir.gains[1], 0.0)
-        assert_array_equal(cir.gains[3], 0.0)
-        assert cir.gains[0].all() and cir.gains[2].all()
+        assert cir.delays == (0, 2)
+        assert cir.gains.shape == (2, config.frame_size_with_cp)
+        assert cir.gains.all()
+        # delays 1 and 3 carry no energy anywhere in the matrix model
+        h = build_time_channel_matrix(cir, config)
+        rows = np.arange(config.frame_size)
+        for d, used in ((0, True), (1, False), (2, True), (3, False)):
+            cols = rows - rows % 8 + (rows % 8 - d) % 8
+            assert h[rows, cols].all() if used else not h[rows, cols].any()
+
+    def test_stores_exactly_the_profile_delays(self):
+        config = FrameConfig(512, 16, max_delay_taps=201, cp_len=256, sample_rate=40e6)
+        profile = tu6_profile(config.sample_rate)
+        cir = fast_cir(profile, 6000.0, config, seed=3)
+        assert cir.delays == profile.delays
+        assert cir.gains.shape == (len(profile.delays), config.frame_size_with_cp)
+
+    def test_unsorted_profile_is_stored_ascending(self):
+        # profile tap k draws from the k-th seed stream whatever its delay,
+        # so reversing the delays reverses the stored rows
+        forward = generate_cir(TapProfile((0, 1, 2), (0.2, 0.3, 0.5)), 200.0, TOY, seed=9)
+        backward = generate_cir(TapProfile((2, 1, 0), (0.2, 0.3, 0.5)), 200.0, TOY, seed=9)
+        assert backward.delays == (0, 1, 2)
+        assert_array_equal(backward.gains, forward.gains[::-1])
 
     def test_deterministic_per_seed(self):
         a = generate_cir(THREE_TAPS, 200.0, TOY, seed=9)
         b = generate_cir(THREE_TAPS, 200.0, TOY, seed=9)
         c = generate_cir(THREE_TAPS, 200.0, TOY, seed=10)
-        assert_array_equal(a.full_gains, b.full_gains)
-        assert np.any(a.full_gains != c.full_gains)
+        assert_array_equal(a.gains, b.gains)
+        assert np.any(a.gains != c.gains)
 
     def test_frame_view_indexes_physical_samples(self):
         cir = generate_cir(THREE_TAPS, 200.0, TOY, seed=9)
-        assert_array_equal(cir.gains, cir.full_gains[:, cir.frame_sample_index])
-        # first frame sample sits right after the first prefix
-        assert cir.frame_sample_index[0] == TOY.cp_len
+        view = cir.frame_gains(TOY)
+        m, cp = TOY.n_subcarriers, TOY.cp_len
+        for k in range(len(cir.delays)):
+            for n in range(TOY.n_doppler_bins):
+                for s in range(m):
+                    assert view[k, n, s] == cir.gains[k, n * (m + cp) + cp + s]
+        with pytest.raises(ValueError, match="frame config"):
+            cir.frame_gains(FrameConfig(16, 4, max_delay_taps=3, cp_len=2))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -193,9 +202,9 @@ class TestFixedCir:
     def test_gains_are_root_power(self):
         profile = TapProfile.from_powers_db([0, 2], [0.0, 0.0])
         cir = fixed_cir(profile, TOY)
-        assert_allclose(cir.gains[0], np.sqrt(0.5), atol=1e-15)
-        assert_array_equal(cir.gains[1], 0.0)
-        assert_allclose(cir.gains[2], np.sqrt(0.5), atol=1e-15)
+        assert cir.delays == (0, 2)
+        assert cir.gains.shape == (2, TOY.frame_size_with_cp)
+        assert_allclose(cir.gains, np.sqrt(0.5), atol=1e-15)
         assert cir.doppler_hz == 0.0
 
     def test_single_tap_is_identity_channel(self):
@@ -206,7 +215,7 @@ class TestFixedCir:
     def test_cir_from_gains_shapes(self):
         gains = np.array([1.0, 0.5, 0.25])
         cir = cir_from_gains(gains, TOY)
-        assert cir.full_gains.shape == (3, TOY.frame_size_with_cp)
+        assert cir.gains.shape == (3, TOY.frame_size_with_cp)
         assert_allclose(cir.gains[1], 0.5, atol=0)
 
         full = np.ones((3, TOY.frame_size_with_cp), dtype=complex)
@@ -215,6 +224,19 @@ class TestFixedCir:
 
         with pytest.raises(ValueError, match="shape"):
             cir_from_gains(np.ones((2, 5)), TOY)
+
+    def test_cir_from_gains_drops_zero_rows(self):
+        config = FrameConfig(8, 4, max_delay_taps=4, cp_len=3)
+        track = np.zeros((4, config.frame_size_with_cp), dtype=complex)
+        track[1] = np.arange(config.frame_size_with_cp)  # zero at sample 0 only
+        track[3, 5] = 2.0j
+        cir = cir_from_gains(track, config, doppler_hz=50.0)
+        assert cir.delays == (1, 3)
+        assert_array_equal(cir.gains, track[[1, 3]])
+        assert cir.doppler_hz == 50.0
+        empty = cir_from_gains(np.zeros(4), config)
+        assert empty.delays == ()
+        assert_array_equal(build_time_channel_matrix(empty, config), 0.0)
 
 
 class TestTimeChannelMatrix:
@@ -229,48 +251,50 @@ class TestTimeChannelMatrix:
                 [0.0, 0.0, 0.5, 1.0],
             ]
         )
-        # one OFDM symbol: both wrap conventions coincide
-        assert_array_equal(build_time_channel_matrix(cir, config, wrap="frame"), expected)
-        assert_array_equal(build_time_channel_matrix(cir, config, wrap="symbol"), expected)
+        assert_array_equal(build_time_channel_matrix(cir, config), expected)
 
     def test_row_support(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=3)
-        for wrap in ("symbol", "frame"):
-            h = build_time_channel_matrix(cir, TOY, wrap=wrap)
-            assert (np.count_nonzero(h, axis=1) <= 3).all()
+        h = build_time_channel_matrix(cir, TOY)
+        assert (np.count_nonzero(h, axis=1) <= 3).all()
 
     def test_symbol_wrap_is_block_diagonal(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=3)
-        h = build_time_channel_matrix(cir, TOY, wrap="symbol")
+        h = build_time_channel_matrix(cir, TOY)
         n_sub = TOY.n_subcarriers
         for r in range(TOY.frame_size):
             block = r // n_sub
             cols = np.nonzero(h[r])[0]
             assert ((cols // n_sub) == block).all()
 
-    def test_frame_wrap_positions(self):
-        cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=3)
-        h = build_time_channel_matrix(cir, TOY, wrap="frame")
-        n = TOY.frame_size
-        for i in (0, 1, 17, n - 1):
-            for d in range(3):
-                assert h[i, (i - d) % n] == cir.gains[d, i]
+    def test_matches_per_entry_loop(self):
+        config = FrameConfig(8, 4, max_delay_taps=6, cp_len=5, sample_rate=64e3)
+        profile = TapProfile.from_powers_db([0, 2, 5], [0.0, -1.0, -3.0])
+        cir = fast_cir(profile, 1000.0, config, seed=3)
+        m, cp = config.n_subcarriers, config.cp_len
+        expected = np.zeros((config.frame_size, config.frame_size), dtype=complex)
+        for d, g in zip(cir.delays, cir.gains):
+            for n in range(config.n_doppler_bins):
+                for s in range(m):
+                    expected[n * m + s, n * m + (s - d) % m] = g[n * (m + cp) + cp + s]
+        assert_array_equal(build_time_channel_matrix(cir, config), expected)
 
     def test_apply_matches_matrix(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=13)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(TOY.frame_size) + 1j * rng.standard_normal(TOY.frame_size)
-        for wrap in ("symbol", "frame"):
-            h = build_time_channel_matrix(cir, TOY, wrap=wrap)
-            assert_allclose(apply_time_channel(cir, x, TOY, wrap=wrap), h @ x, atol=1e-13)
+        h = build_time_channel_matrix(cir, TOY)
+        assert_allclose(apply_time_channel(cir, x, TOY), h @ x, atol=1e-13)
 
-    def test_rejects_bad_wrap_and_size(self):
+    def test_rejects_mismatched_config(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=1)
-        with pytest.raises(ValueError, match="wrap"):
-            build_time_channel_matrix(cir, TOY, wrap="torus")
         other = FrameConfig(16, 4, max_delay_taps=3, cp_len=2)
         with pytest.raises(ValueError):
             build_time_channel_matrix(cir, other)
+        # same physical length, but the taps reach past the channel length
+        shorter = FrameConfig(8, 4, max_delay_taps=2, cp_len=2)
+        with pytest.raises(ValueError, match="frame config"):
+            apply_time_channel(cir, np.zeros(TOY.frame_size), shorter)
 
 
 class TestPhysicalChannel:
@@ -295,7 +319,7 @@ class TestPhysicalChannel:
         )
         tx = otfs_modulate_fast(grid, TOY)
         physical = cp_remove(apply_channel(tx, cir, np.inf, seed=0, config=TOY), TOY)
-        h = build_time_channel_matrix(cir, TOY, wrap="symbol")
+        h = build_time_channel_matrix(cir, TOY)
         modeled = h @ cp_remove(tx, TOY).data
         assert np.max(np.abs(physical.data - modeled)) < 1e-12
 
@@ -335,10 +359,9 @@ class TestEquivalentChannel:
         h_eq = build_equivalent_channel(np.eye(TOY.frame_size), TOY)
         assert_allclose(h_eq, np.eye(TOY.frame_size), atol=1e-12)
 
-    @pytest.mark.parametrize("wrap", ["symbol", "frame"])
-    def test_three_constructions_agree(self, wrap):
+    def test_three_constructions_agree(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=31)
-        h_tl = build_time_channel_matrix(cir, TOY, wrap=wrap)
+        h_tl = build_time_channel_matrix(cir, TOY)
         simplified = build_equivalent_channel(h_tl, TOY, mode="simplified")
         full = build_equivalent_channel(h_tl, TOY, mode="full")
         oracle = build_equivalent_channel(h_tl, TOY, mode="oracle")
@@ -354,7 +377,7 @@ class TestEquivalentChannel:
 
     def test_static_channel_has_scaled_identity_doppler_blocks(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=41)
-        h_tl = build_time_channel_matrix(cir, TOY, wrap="symbol")
+        h_tl = build_time_channel_matrix(cir, TOY)
         h_eq = build_equivalent_channel(h_tl, TOY)
         n_dop = TOY.n_doppler_bins
         for br in range(TOY.n_subcarriers):
@@ -394,10 +417,9 @@ class TestCfr:
         for n in range(1, TOY.n_doppler_bins):
             assert_allclose(cfr[:, n], cfr[:, 0], atol=1e-12)
 
-    @pytest.mark.parametrize("wrap", ["symbol", "frame"])
-    def test_extract_matches_matrix_free_path(self, wrap):
+    def test_extract_matches_matrix_free_path(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=47)
-        h_tl = build_time_channel_matrix(cir, TOY, wrap=wrap)
+        h_tl = build_time_channel_matrix(cir, TOY)
         assert_allclose(extract_cfr(h_tl, TOY), cfr_from_cir(cir, TOY), atol=1e-12)
 
     def test_extract_rejects_bad_shape(self):

@@ -28,7 +28,6 @@ from otfslink import (
     extended_fft_matrix,
     fde_apply,
     fde_build,
-    fde_to_dd,
     fixed_cir,
     full_mmse,
     generate_cir,
@@ -141,13 +140,6 @@ class TestFdeApply:
 
 
 class TestFdeToDd:
-    def test_equals_inverse_spreading(self):
-        rng = np.random.default_rng(17)
-        tf = TimeFrequencyGrid(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
-        assert_allclose(
-            fde_to_dd(tf, TOY).data, dsft_inverse(tf, TOY).data, atol=0
-        )
-
     def test_noiseless_static_chain_recovers_grid(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=19)
         rng = np.random.default_rng(19)
@@ -155,7 +147,7 @@ class TestFdeToDd:
         x = cp_remove(otfs_modulate_fast(grid, TOY), TOY).data
         y_tf = tf_stage(TimeSignal(apply_time_channel(cir, x, TOY)), TOY)
         coeffs = fde_build(cfr_from_cir(cir, TOY), 0.0, mode="mmse")
-        recovered = fde_to_dd(fde_apply(coeffs, y_tf), TOY)
+        recovered = dsft_inverse(fde_apply(coeffs, y_tf), TOY)
         assert np.max(np.abs(recovered.data - grid.data)) < 1e-10
 
 

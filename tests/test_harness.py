@@ -54,6 +54,9 @@ class TestExperimentConfig:
             {"dde_iterations": 0},
             {"fading": False, "doppler_hz_list": (0.0, 500.0)},
             {"profile": TapProfile.from_powers_db([0, 5], [0.0, 0.0])},
+            {"doppler_hz_list": (0.0, float("nan"))},
+            {"doppler_hz_list": (float("inf"),)},
+            {"snr_db_list": (10.0, float("nan"))},
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -107,6 +110,18 @@ class TestRunTrial:
         config = toy_config(doppler_hz_list=(1000.0,), snr_db_list=(0.0,))
         counts = harness.run_trial(config, 0.0, 1000.0, trial_index=0)
         assert all(0 <= c <= TOY_FRAME.bits_per_frame for c in counts.values())
+
+    def test_table2_trials_match_pinned_error_counts(self):
+        # seed 2024, trials 0-1, at 20 dB and 6000 Hz on the table2 preset
+        # (512 x 16 frame, TU6 taps up to delay 200); the same values are the
+        # benchmark's table2_fast reference frames
+        config = replace(harness.table2_preset(), equalizers=("otfs_fde", "ofdm_single_tap"))
+        assert config.base_seed == 2024
+        trials = [harness.run_trial(config, 20.0, 6000.0, t) for t in range(2)]
+        assert trials == [
+            {"otfs_fde": 438, "ofdm_single_tap": 150},
+            {"otfs_fde": 479, "ofdm_single_tap": 198},
+        ]
 
 
 class TestRunSweep:
@@ -264,6 +279,15 @@ class TestLoadExperimentConfig:
             lambda d: d.update(fading=1),
             lambda d: d.update(frame=[1, 2]),
             lambda d: d.update(profile="tu6"),
+            lambda d: d.update(snr_db_list=[0.0, float("nan")]),
+            lambda d: d.update(doppler_hz_list=[float("nan")]),
+            lambda d: d.update(doppler_hz_list=[0.0, float("inf")]),
+            lambda d: d["profile"].update(delays_samples=[0, 1.6, 2]),
+            lambda d: d["profile"].update(delays_samples=[0, True, 2]),
+            lambda d: d.update(n_trials=2.9),
+            lambda d: d.update(n_trials=True),
+            lambda d: d.update(base_seed=7.0),
+            lambda d: d.update(dde_iterations=True),
         ],
     )
     def test_rejects_malformed_documents(self, mutate):
@@ -396,6 +420,17 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_nan_in_config_file_is_usage_error(self, tmp_path, capsys):
+        # json.dumps writes a bare NaN, which json.load reads back as a float
+        path = tmp_path / "config.json"
+        doc = config_document()
+        doc["snr_db_list"] = [10.0, float("nan")]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "results.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_is_reported(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1

@@ -22,6 +22,7 @@ from otfslink.cli import main
 from otfslink.frame import TimeFrequencyGrid, TimeSignal, qpsk_map, random_bits
 from otfslink.transforms import (
     cp_remove,
+    dsft_inverse,
     ofdm_modulate,
     otfs_demodulate,
     otfs_modulate_fast,
@@ -58,7 +59,7 @@ class Link:
         cfr = chan.cfr_from_cir(self.cir, frame)
         coeffs = eq.fde_build(cfr, self.var, mode="mmse")
         y_tf = tf_stage(TimeSignal(self.y_otfs), frame)
-        self.stage_one = eq.fde_to_dd(eq.fde_apply(coeffs, y_tf), frame).to_vector()
+        self.stage_one = dsft_inverse(eq.fde_apply(coeffs, y_tf), frame).to_vector()
 
         self.h_tl = chan.build_time_channel_matrix(self.cir, frame)
         self.h_eq = chan.build_equivalent_channel(self.h_tl, frame)
