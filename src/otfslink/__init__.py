@@ -5,31 +5,16 @@ baselines."""
 from .channel import (
     TapProfile,
     TimeVaryingCir,
-    apply_channel,
     apply_time_channel,
-    band_support,
-    build_equivalent_channel,
-    build_time_channel_matrix,
     cfr_from_cir,
     cir_from_gains,
-    extract_cfr,
     fixed_cir,
     generate_cir,
     noise_variance,
     single_tap_profile,
-    symbol_frequency_matrices,
     tu6_profile,
 )
-from .equalizers import (
-    CancellationMatrix,
-    FdeCoefficients,
-    dde_build,
-    dde_equalize,
-    fde_apply,
-    fde_build,
-    full_mmse,
-    ofdm_single_tap,
-)
+from .equalizers import fde_apply, fde_build
 from .frame import (
     DelayDopplerGrid,
     FrameConfig,
@@ -54,21 +39,12 @@ from .harness import (
     toy_preset,
 )
 from .transforms import (
-    REFERENCE_GRIDS,
-    ComposedOperators,
-    composed_operators,
     cp_add,
     cp_remove,
-    dft_matrix,
-    dsft_forward,
     dsft_inverse,
-    extended_fft_apply,
-    extended_fft_matrix,
     ofdm_modulate,
     otfs_demodulate,
-    otfs_modulate,
     otfs_modulate_fast,
-    reorder_indices,
     tf_stage,
 )
 
@@ -76,60 +52,39 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerRecord",
-    "CancellationMatrix",
-    "ComposedOperators",
     "DelayDopplerGrid",
     "EQUALIZER_NAMES",
     "ExperimentConfig",
-    "FdeCoefficients",
     "FrameConfig",
-    "REFERENCE_GRIDS",
     "TapProfile",
     "TimeFrequencyGrid",
     "TimeSignal",
     "TimeVaryingCir",
-    "apply_channel",
     "apply_time_channel",
-    "band_support",
-    "build_equivalent_channel",
-    "build_time_channel_matrix",
     "cfr_from_cir",
     "cir_from_gains",
-    "composed_operators",
     "cp_add",
     "cp_remove",
-    "dde_build",
-    "dde_equalize",
     "desk_preset",
-    "dft_matrix",
-    "dsft_forward",
     "dsft_inverse",
     "emit_csv",
-    "extended_fft_apply",
-    "extended_fft_matrix",
-    "extract_cfr",
     "fde_apply",
     "fde_build",
     "fixed_cir",
-    "full_mmse",
     "generate_cir",
     "inspect_channel",
     "load_experiment_config",
     "noise_variance",
     "ofdm_modulate",
-    "ofdm_single_tap",
     "otfs_demodulate",
-    "otfs_modulate",
     "otfs_modulate_fast",
     "qpsk_map",
     "qpsk_slice",
     "read_csv",
-    "reorder_indices",
     "run_sweep",
     "run_trial",
     "single_tap_profile",
     "sweep_trial_index",
-    "symbol_frequency_matrices",
     "table2_preset",
     "tf_stage",
     "toy_preset",

@@ -1,19 +1,19 @@
-"""Time-varying multipath channel: fading generation, matrix model, analysis.
+"""Time-varying multipath channel: fading generation and its per-symbol model.
 
 A channel realization is a tapped delay line: the profile's tap delays and
 one complex gain process per tap, sampled at the physical sample times of
-the CP-extended frame.  Its matrix model is block diagonal with one
-circular band per OFDM symbol, which is what per-symbol cyclic prefixes
-produce after CP removal.  For static channels this matrix reproduces the
-physical convolution path exactly; with Doppler the two differ only
-through tap variation across the CP samples.
+the CP-extended frame.  Each OFDM symbol carries its own cyclic prefix, so
+after CP removal the time-domain channel is block diagonal, one circular
+``n_subcarriers``-square block per symbol.  For static channels this model
+reproduces the physical convolution exactly; with Doppler the two differ
+only through tap variation across the CP samples.
 
-The runtime path is per symbol: ``apply_time_channel`` filters a frame tap
-by tap, and ``symbol_channel_blocks`` returns the ``(n_doppler_bins,
-n_subcarriers, n_subcarriers)`` stack of diagonal blocks that the receivers
-factor.  The dense ``frame_size x frame_size`` builders
-(``build_time_channel_matrix``, ``build_equivalent_channel``) are oracles
-for tests and for ``inspect-channel``; no trial forms them.
+``apply_time_channel`` filters a frame tap by tap, ``cfr_from_cir`` gives
+the single-tap equalizers their per-symbol frequency response, and
+``symbol_channel_blocks`` returns the ``(n_doppler_bins, n_subcarriers,
+n_subcarriers)`` block stack.  The delay-Doppler channel built from such a
+stack is circulant over Doppler; ``doppler_coupling`` gives its entries.
+No ``frame_size``-square matrix is formed here.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import DelayDopplerGrid, FrameConfig, TimeSignal
-from .transforms import composed_operators, cp_remove, otfs_demodulate, otfs_modulate, reorder_indices
+from .frame import FrameConfig
 
 N_SINUSOIDS = 32
 
@@ -210,36 +209,12 @@ def fixed_cir(profile: TapProfile, config: FrameConfig) -> TimeVaryingCir:
     return cir_from_gains(gains, config)
 
 
-def _tap_columns(config: FrameConfig, delay: int) -> np.ndarray:
-    """Column of tap ``delay`` in each row of the per-symbol-CP matrix."""
-    rows = np.arange(config.frame_size)
-    n_sub = config.n_subcarriers
-    return rows - rows % n_sub + (rows % n_sub - delay) % n_sub
-
-
-def build_time_channel_matrix(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
-    """Dense sequential-time channel matrix of one realization.
-
-    Block diagonal with one circular band per OFDM symbol, which is what
-    per-symbol cyclic prefixes produce after CP removal: row ``i`` carries
-    tap ``d`` at column ``(i - d) mod n_subcarriers`` of its own symbol.
-    """
-    n = config.frame_size
-    h_tl = np.zeros((n, n), dtype=np.complex128)
-    rows = np.arange(n)
-    for d, g in zip(cir.delays, cir.frame_gains(config)):
-        h_tl[rows, _tap_columns(config, d)] = g.ravel()
-    return h_tl
-
-
 def apply_time_channel(
     cir: TimeVaryingCir, x: np.ndarray, config: FrameConfig
 ) -> np.ndarray:
-    """Banded equivalent of ``build_time_channel_matrix(...) @ x``.
-
-    Avoids forming the dense matrix; exact to the last bit since both paths
-    multiply the same gains by the same samples.
-    """
+    """Pass a frame (cyclic prefixes removed) through the per-symbol
+    channel: in symbol ``n``, output sample ``s`` adds tap ``d`` times input
+    sample ``(s - d) mod n_subcarriers``."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (config.frame_size,):
         raise ValueError(f"expected vector of length {config.frame_size}")
@@ -265,78 +240,6 @@ def awgn(
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def apply_channel(
-    signal: TimeSignal,
-    cir: TimeVaryingCir,
-    snr_db: float,
-    seed: "int | np.random.SeedSequence",
-    config: FrameConfig,
-) -> TimeSignal:
-    """Physical channel path: per-sample convolution across the CP-extended
-    frame, then AWGN.
-
-    Kept separate from the matrix model as an independent validation route;
-    after CP removal the two agree exactly for static channels.
-    """
-    x = signal.validate(config)
-    if not signal.has_cp:
-        raise ValueError("physical channel path expects the CP-extended signal")
-    if cir.gains.shape[1] != x.size:
-        raise ValueError("channel realization does not match the frame config")
-    y = np.zeros_like(x)
-    for d, g in zip(cir.delays, cir.gains):
-        shifted = np.zeros_like(x)
-        shifted[d:] = x[: x.size - d]
-        y += g * shifted
-    var = noise_variance(snr_db)
-    if var > 0.0:
-        rng = np.random.default_rng(seed)
-        y = y + awgn(y.shape, var, rng)
-    return TimeSignal(y, has_cp=True)
-
-
-def build_equivalent_channel(
-    h_tl: np.ndarray, config: FrameConfig, mode: str = "simplified"
-) -> np.ndarray:
-    """Delay-Doppler domain channel matrix for a given time-domain matrix.
-
-    Modes, all agreeing to numerical precision:
-
-    * ``"simplified"`` (default): conjugate the de-interleaved matrix by
-      block-diagonal Doppler DFTs, using FFTs.
-    * ``"full"``: dense composition of the receive and transmit stage
-      operators around ``h_tl``.
-    * ``"oracle"``: brute force; column ``c`` is the demodulated response
-      to the modulated ``c``-th basis vector.
-    """
-    n = config.frame_size
-    h_tl = np.asarray(h_tl, dtype=np.complex128)
-    if h_tl.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} channel matrix")
-    n_sub, n_dop = config.n_subcarriers, config.n_doppler_bins
-
-    if mode == "simplified":
-        inv = np.argsort(reorder_indices(config).perm)
-        deinterleaved = h_tl[np.ix_(inv, inv)]
-        blocks = deinterleaved.reshape(n_sub, n_dop, n_sub, n_dop)
-        blocks = np.fft.fft(blocks, axis=1, norm="ortho")
-        blocks = np.fft.ifft(blocks, axis=3, norm="ortho")
-        return blocks.reshape(n, n)
-    if mode == "full":
-        ops = composed_operators(config)
-        return ops.receive @ h_tl @ ops.transmit
-    if mode == "oracle":
-        h_eq = np.empty((n, n), dtype=np.complex128)
-        for c in range(n):
-            e = np.zeros(n, dtype=np.complex128)
-            e[c] = 1.0
-            tx = otfs_modulate(DelayDopplerGrid.from_vector(e, config), config)
-            y = h_tl @ cp_remove(tx, config).data
-            h_eq[:, c] = otfs_demodulate(TimeSignal(y), config).to_vector()
-        return h_eq
-    raise ValueError(f"unknown mode: {mode!r}")
-
-
 def _cfr_from_gains(
     delays: "tuple[int, ...] | range", gains: np.ndarray, config: FrameConfig
 ) -> np.ndarray:
@@ -351,26 +254,10 @@ def _cfr_from_gains(
     return np.fft.fft(padded, axis=0)
 
 
-def extract_cfr(h_tl: np.ndarray, config: FrameConfig) -> np.ndarray:
-    """Per-symbol channel frequency response from the time-domain matrix.
-
-    Column ``n`` is the diagonal of the symbol's circularized block after
-    DFT conjugation, which reduces to the DFT of the block's time-averaged
-    impulse response.
-    """
-    n = config.frame_size
-    h_tl = np.asarray(h_tl, dtype=np.complex128)
-    if h_tl.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} channel matrix")
-    rows = np.arange(n)
-    delays = range(config.max_delay_taps)
-    gains = np.stack([h_tl[rows, _tap_columns(config, d)] for d in delays])
-    shape = (len(delays), config.n_doppler_bins, config.n_subcarriers)
-    return _cfr_from_gains(delays, gains.reshape(shape), config)
-
-
 def cfr_from_cir(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
-    """Matrix-free shortcut for ``extract_cfr(build_time_channel_matrix(...))``."""
+    """Per-symbol channel frequency response, shape ``(n_subcarriers,
+    n_doppler_bins)``: column ``n`` is the diagonal of symbol ``n``'s block
+    conjugated by the DFT."""
     return _cfr_from_gains(cir.delays, cir.frame_gains(config), config)
 
 
@@ -378,9 +265,8 @@ def symbol_channel_blocks(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarra
     """Per-symbol time-domain channel blocks, shape
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
-    Entry ``[n]`` is symbol ``n``'s circular block, the ``n``-th diagonal
-    block of ``build_time_channel_matrix(cir, config)``: row ``s`` carries
-    tap ``d`` at column ``(s - d) mod n_subcarriers``.
+    Entry ``[n]`` is symbol ``n``'s circular block: row ``s`` carries tap
+    ``d`` at column ``(s - d) mod n_subcarriers``.
     """
     n_sub = config.n_subcarriers
     s = np.arange(n_sub)
@@ -390,54 +276,14 @@ def symbol_channel_blocks(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarra
     return blocks
 
 
-def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
-    """Full per-symbol frequency-domain channel matrices, shape
-    ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
+def doppler_coupling(stack: np.ndarray) -> np.ndarray:
+    """Delay-Doppler coupling of a per-symbol ``(N, M, M)`` stack ``B``.
 
-    Entry ``[n]`` is the DFT conjugation ``F H_n F^H`` of symbol ``n``'s
-    circular block; its diagonal equals column ``n`` of the extracted
-    frequency response, its off-diagonals are the intercarrier coupling a
-    single-tap equalizer ignores.
+    Modulating a delay-Doppler frame, applying ``B_n`` to symbol ``n`` and
+    demodulating gives a matrix whose entry ``[(l, k), (l', k')]`` (delay
+    ``l``, Doppler ``k``; vector index ``l * N + k``) is
+    ``c[(k - k') mod N, l, l']`` with ``c = fft(B, axis=0) / N``, which
+    this returns.  For the channel blocks it is the equivalent channel, for
+    their Grams the equivalent channel's Gram.
     """
-    freq = np.fft.fft(symbol_channel_blocks(cir, config), axis=1, norm="ortho")
-    return np.fft.ifft(freq, axis=2, norm="ortho")
-
-
-def band_support(
-    h_eq: np.ndarray, config: FrameConfig, tol: float = 1e-12
-) -> tuple[int, float]:
-    """Measure the circular band occupied by a delay-Doppler channel matrix.
-
-    Diagonal offsets ``(row - col) mod frame_size`` are grouped into
-    ``n_doppler_bins``-wide blocks (one block per circular delay offset).
-    Returns ``(band_width, max_out_of_band)`` where ``band_width`` is
-    ``n_doppler_bins`` times the shortest circular arc of blocks holding
-    every entry above ``tol``, and ``max_out_of_band`` is the largest
-    magnitude outside the nominal ``n_doppler_bins * (max_delay_taps + 1)``
-    band (delay-block offsets ``-1 .. max_delay_taps - 1``).
-    """
-    n = config.frame_size
-    h_eq = np.asarray(h_eq)
-    if h_eq.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix")
-    n_sub, n_dop = config.n_subcarriers, config.n_doppler_bins
-
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    offsets = (rows - cols) % n
-    peak = np.zeros(n)
-    np.maximum.at(peak, offsets.ravel(), np.abs(h_eq).ravel())
-
-    block_of_offset = np.arange(n) // n_dop
-    nominal = (block_of_offset < config.max_delay_taps) | (block_of_offset == n_sub - 1)
-    outside = peak[~nominal]
-    max_out_of_band = float(outside.max()) if outside.size else 0.0
-
-    occupied = np.unique(block_of_offset[peak > tol])
-    if occupied.size == 0:
-        return 0, max_out_of_band
-    # shortest circular arc covering the occupied blocks: complement of the
-    # widest empty gap between consecutive occupied blocks
-    gaps = np.diff(np.concatenate([occupied, [occupied[0] + n_sub]]))
-    arc = n_sub - int(gaps.max()) + 1
-    return arc * n_dop, max_out_of_band
+    return np.fft.fft(stack, axis=0) / stack.shape[0]

@@ -1,24 +1,21 @@
 """Two-stage equalization and the reference equalizers it is compared against.
 
 Stage one is a per-subcarrier frequency-domain equalizer (FDE) on the
-time-frequency grid.  Stage two re-enters the delay-Doppler domain and
+time-frequency grid; the plain OFDM baseline applies the same single-tap
+gains to its own grid.  Stage two re-enters the delay-Doppler domain and
 cancels the residual inter-symbol coupling: a matched filter through the
 equivalent channel minus a clipped cancellation matrix applied to the hard
-decisions from stage one.
-
-Baselines: the same single-tap equalizer on a plain OFDM link, and full
-linear MMSE on either link.
+decisions from stage one.  The other baseline is full linear MMSE on
+either link.
 
 With per-symbol cyclic prefixes the time-domain channel is block diagonal,
 one ``n_subcarriers``-square block ``H_n`` per OFDM symbol, and both links'
-modulators are unitary.  The runtime receivers therefore work on the stack
-of per-symbol Grams ``G_n = H_n^H H_n``: full MMSE on either link is one
+modulators are unitary.  The receivers therefore work on the stack of
+per-symbol Grams ``G_n = H_n^H H_n``: full MMSE on either link is one
 batched Cholesky factorization of ``G_n + noise_var I`` (see
 :func:`mmse_factor`), and the delay-Doppler Gram that the cancellation
 stage needs is block circulant over Doppler (see
-:func:`dde_build_circulant`).  The dense ``frame_size``-square forms
-(:func:`dde_build`, :func:`dde_equalize`, :func:`full_mmse` applied to the
-equivalent channel) are the oracles these kernels are tested against.
+:func:`dde_build_circulant`).  No ``frame_size``-square matrix is formed.
 """
 
 from __future__ import annotations
@@ -28,97 +25,42 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .channel import doppler_coupling
 from .frame import FrameConfig, TimeFrequencyGrid, TimeSignal, qpsk_slice
 from .transforms import otfs_demodulate
 
 FDE_MODES = ("magnitude", "mmse")
 
 
-@dataclass(frozen=True)
-class FdeCoefficients:
-    """Per-subcarrier, per-symbol single-tap gains."""
-
-    gains: np.ndarray
-    gamma: float
-    mode: str
-
-
-def fde_build(
-    cfr: np.ndarray,
-    noise_var: float,
-    mode: str = "magnitude",
-    gamma: "float | None" = None,
-) -> FdeCoefficients:
+def fde_build(cfr: np.ndarray, noise_var: float, mode: str = "magnitude") -> np.ndarray:
     """Single-tap gains from the channel frequency response.
 
     ``mode="magnitude"`` regularizes by the response magnitude,
-    ``g = conj(H) / (|H| + gamma)``; ``mode="mmse"`` uses the conventional
-    ``g = conj(H) / (|H|^2 + gamma)``.  ``gamma`` defaults to the noise
-    variance; with ``gamma = 0`` the mmse form inverts the channel exactly
-    while the magnitude form only aligns its phase.
+    ``g = conj(H) / (|H| + noise_var)``; ``mode="mmse"`` uses the
+    conventional ``g = conj(H) / (|H|^2 + noise_var)``.  With
+    ``noise_var = 0`` the mmse form inverts the channel exactly while the
+    magnitude form only aligns its phase.
     """
     if mode not in FDE_MODES:
         raise ValueError(f"mode must be one of {FDE_MODES}, got {mode!r}")
-    if gamma is None:
-        gamma = noise_var
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if noise_var < 0:
+        raise ValueError("noise_var must be non-negative")
     cfr = np.asarray(cfr, dtype=np.complex128)
     mag = np.abs(cfr)
-    denom = mag + gamma if mode == "magnitude" else mag**2 + gamma
+    denom = mag + noise_var if mode == "magnitude" else mag**2 + noise_var
     gains = np.zeros_like(cfr)
     np.divide(cfr.conj(), denom, out=gains, where=denom > 0)
-    return FdeCoefficients(gains=gains, gamma=float(gamma), mode=mode)
+    return gains
 
 
-def fde_apply(coeffs: FdeCoefficients, grid: TimeFrequencyGrid) -> TimeFrequencyGrid:
+def fde_apply(gains: np.ndarray, grid: TimeFrequencyGrid) -> TimeFrequencyGrid:
     data = np.asarray(grid.data)
-    if coeffs.gains.shape != data.shape:
+    if gains.shape != data.shape:
         raise ValueError(
-            f"coefficient grid {coeffs.gains.shape} does not match "
+            f"coefficient grid {gains.shape} does not match "
             f"signal grid {data.shape}"
         )
-    return TimeFrequencyGrid(coeffs.gains * data)
-
-
-@dataclass(frozen=True)
-class CancellationMatrix:
-    """Off-diagonal interference coupling of the equivalent channel.
-
-    ``r_bar`` is ``h_eq^H h_eq`` with the diagonal removed and entries below
-    ``clip_threshold`` times the largest off-diagonal magnitude zeroed;
-    ``diag`` keeps the removed diagonal (real and non-negative) for the
-    final per-symbol scaling.
-    """
-
-    r_bar: np.ndarray
-    diag: np.ndarray
-    clip_threshold: float
-
-
-def dde_build(
-    h_eq: np.ndarray,
-    clip_threshold: float = 0.02,
-    gram: "np.ndarray | None" = None,
-) -> CancellationMatrix:
-    """Build the decision-feedback cancellation matrix.
-
-    ``gram`` may pass a precomputed ``h_eq.conj().T @ h_eq`` to share work
-    with the full-MMSE equalizer.  ``clip_threshold = 0`` keeps every
-    off-diagonal entry; ``1`` keeps only the strongest.
-    """
-    _check_clip(clip_threshold)
-    h_eq = np.asarray(h_eq, dtype=np.complex128)
-    if gram is None:
-        gram = h_eq.conj().T @ h_eq
-    diag = np.real(np.diag(gram)).copy()
-    r_bar = _clip(gram - np.diag(np.diag(gram)), clip_threshold)
-    return CancellationMatrix(r_bar=r_bar, diag=diag, clip_threshold=float(clip_threshold))
-
-
-def _check_clip(clip_threshold: float) -> None:
-    if not 0.0 <= clip_threshold <= 1.0:
-        raise ValueError("clip_threshold must lie in [0, 1]")
+    return TimeFrequencyGrid(gains * data)
 
 
 def _clip(coupling: np.ndarray, clip_threshold: float) -> np.ndarray:
@@ -129,78 +71,6 @@ def _clip(coupling: np.ndarray, clip_threshold: float) -> np.ndarray:
         if peak > 0.0:
             return np.where(mags < clip_threshold * peak, 0.0, coupling)
     return coupling
-
-
-def dde_equalize(
-    y_dd: np.ndarray,
-    stage_one_symbols: np.ndarray,
-    h_eq: np.ndarray,
-    cancel: CancellationMatrix,
-    scale_by_diag: bool = True,
-) -> np.ndarray:
-    """One decision-feedback pass in the delay-Doppler domain.
-
-    ``y_dd`` is the raw demodulated frame (vectorized, before any
-    equalization); ``stage_one_symbols`` seed the hard decisions whose
-    regenerated interference is subtracted from the matched-filter output.
-    With ``scale_by_diag`` each entry is divided by its matched-filter
-    gain, restoring the constellation scale.
-    """
-    y_dd = np.asarray(y_dd, dtype=np.complex128).ravel()
-    n = y_dd.size
-    if h_eq.shape != (n, n) or cancel.r_bar.shape != (n, n):
-        raise ValueError("matrix sizes do not match the received vector")
-    _, decided = qpsk_slice(np.asarray(stage_one_symbols).ravel())
-    estimate = h_eq.conj().T @ y_dd - cancel.r_bar @ decided
-    if scale_by_diag:
-        estimate = estimate / np.where(cancel.diag > 0.0, cancel.diag, 1.0)
-    return estimate
-
-
-def ofdm_single_tap(
-    y_tf: TimeFrequencyGrid,
-    cfr: np.ndarray,
-    noise_var: float,
-    mode: str = "magnitude",
-) -> np.ndarray:
-    """Single-tap equalized hard bits for the plain OFDM link."""
-    coeffs = fde_build(cfr, noise_var, mode=mode)
-    equalized = fde_apply(coeffs, y_tf)
-    bits, _ = qpsk_slice(equalized.to_vector())
-    return bits
-
-
-def full_mmse(
-    h: np.ndarray,
-    y: np.ndarray,
-    noise_var: float,
-    gram: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Linear MMSE estimate ``(h^H h + noise_var I)^-1 h^H y``.
-
-    Raises a singularity error when the regularized normal matrix cannot be
-    factorized (for example ``noise_var = 0`` with a rank-deficient ``h``).
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if h.ndim != 2 or h.shape[0] != y.size:
-        raise ValueError("h and y dimensions do not match")
-    if noise_var < 0:
-        raise ValueError("noise_var must be non-negative")
-    if gram is None:
-        gram = h.conj().T @ h
-    normal = gram + noise_var * np.eye(h.shape[1])
-    try:
-        factor = scipy.linalg.cho_factor(normal)
-    except scipy.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"normal matrix is singular (noise_var={noise_var})"
-        ) from err
-    return scipy.linalg.cho_solve(factor, h.conj().T @ y)
-
-
-# ---------------------------------------------------------------------------
-# per-symbol receivers: the runtime path
 
 
 def symbol_grams(blocks: np.ndarray) -> np.ndarray:
@@ -219,8 +89,8 @@ def symbol_matched_filter(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
 def mmse_factor(grams: np.ndarray, noise_var: float) -> np.ndarray:
     """Lower Cholesky factors of ``G_n + noise_var I``, batched over symbols.
 
-    Raises the same singularity error as :func:`full_mmse` when a
-    regularized block cannot be factorized.
+    Raises a singularity error when a regularized block cannot be
+    factorized (for example ``noise_var = 0`` with a rank-deficient block).
     """
     if noise_var < 0:
         raise ValueError("noise_var must be non-negative")
@@ -250,7 +120,7 @@ def otfs_full_mmse(
 
     ``matched`` is :func:`symbol_matched_filter` of the received OTFS frame.
     The modulator is unitary, so the per-symbol solution demodulated equals
-    ``full_mmse(h_eq, y_dd, noise_var)`` on the equivalent channel.
+    the full MMSE solution on the equivalent channel.
     """
     solved = mmse_solve(factor, matched)
     return otfs_demodulate(TimeSignal(solved.ravel()), config).to_vector()
@@ -260,24 +130,28 @@ def ofdm_full_mmse(factor: np.ndarray, matched: np.ndarray) -> np.ndarray:
     """Full MMSE on the plain OFDM link, as a time-frequency vector.
 
     ``matched`` is :func:`symbol_matched_filter` of the received OFDM frame.
-    The unitary FFT of each symbol's solution equals ``full_mmse`` on that
-    symbol's frequency-domain matrix ``F H_n F^H``.
+    The unitary FFT of each symbol's solution equals the full MMSE solution
+    on that symbol's frequency-domain matrix ``F H_n F^H``.
     """
     return np.fft.fft(mmse_solve(factor, matched), axis=1, norm="ortho").ravel()
 
 
 @dataclass(frozen=True)
 class CirculantCancellation:
-    """:class:`CancellationMatrix` of the equivalent channel, stored by its
+    """Cancellation stage of the equivalent channel, stored by its
     block-circulant structure.
 
+    The cancellation matrix ``r_bar`` is the equivalent channel's Gram
+    ``h_eq^H h_eq`` with the diagonal removed and entries below
+    ``clip_threshold`` times the largest off-diagonal magnitude zeroed.
     Block ``(l, l')`` of ``r_bar`` (delay bins, ``n_doppler_bins`` Doppler
     entries each) is circulant over Doppler: entry ``[(l, k), (l', k')]`` is
     ``coupling[(k - k') mod n_doppler_bins, l, l']``.  ``spectrum`` is the
     FFT of ``coupling`` over its first axis, so ``r_bar @ d`` is a Doppler
     FFT of ``d``, one ``n_subcarriers``-square product per Doppler frequency
-    and an inverse FFT.  ``diag`` is the removed diagonal in delay-Doppler
-    vector order, as in the dense form.
+    and an inverse FFT.  ``diag`` is the removed diagonal (real and
+    non-negative) in delay-Doppler vector order, for the final per-symbol
+    scaling.
     """
 
     coupling: np.ndarray
@@ -288,18 +162,19 @@ class CirculantCancellation:
 def dde_build_circulant(
     grams: np.ndarray, clip_threshold: float = 0.02
 ) -> CirculantCancellation:
-    """Cancellation stage from the per-symbol Grams; equals :func:`dde_build`
-    on the equivalent channel.
+    """Cancellation stage from the per-symbol Grams.
 
     Entry ``[(l, k), (l', k')]`` of ``h_eq^H h_eq`` is
-    ``c[(k - k') mod N, l, l']`` with ``c = fft(G, axis=0) / N`` over the
-    symbol axis of the Grams.  Clipping compares the same magnitudes as the
-    dense form, so it zeroes whole wrapped diagonals and keeps the circulant
-    structure.
+    ``c[(k - k') mod N, l, l']`` with ``c`` the :func:`doppler_coupling` of
+    the Grams.  Clipping compares the magnitudes of every entry, so it
+    zeroes whole wrapped diagonals and keeps the circulant structure.
+    ``clip_threshold = 0`` keeps every off-diagonal entry; ``1`` keeps only
+    the strongest.
     """
-    _check_clip(clip_threshold)
+    if not 0.0 <= clip_threshold <= 1.0:
+        raise ValueError("clip_threshold must lie in [0, 1]")
     n_dop, n_sub, _ = grams.shape
-    coupling = np.fft.fft(grams, axis=0) / n_dop
+    coupling = doppler_coupling(grams)
     diag = np.repeat(np.real(np.diagonal(coupling[0])), n_dop)
     delay = np.arange(n_sub)
     coupling[0, delay, delay] = 0.0
@@ -315,12 +190,14 @@ def dde_equalize_circulant(
     matched: np.ndarray,
     stage_one_symbols: np.ndarray,
     cancel: CirculantCancellation,
-    scale_by_diag: bool = True,
 ) -> np.ndarray:
-    """One decision-feedback pass; equals :func:`dde_equalize`.
+    """One decision-feedback pass in the delay-Doppler domain.
 
     ``matched`` is the delay-Doppler matched-filter output ``h_eq^H y_dd``,
-    which is ``otfs_demodulate`` of :func:`symbol_matched_filter`.
+    which is ``otfs_demodulate`` of :func:`symbol_matched_filter`;
+    ``stage_one_symbols`` seed the hard decisions whose regenerated
+    interference is subtracted from it.  Each entry is then divided by its
+    matched-filter gain, restoring the constellation scale.
     """
     matched = np.asarray(matched, dtype=np.complex128).ravel()
     n_dop, n_sub, _ = cancel.spectrum.shape
@@ -331,6 +208,4 @@ def dde_equalize_circulant(
     decided_freq = np.fft.fft(decided.reshape(n_sub, n_dop), axis=1)
     regenerated = (cancel.spectrum @ decided_freq.T[..., None])[..., 0]
     estimate = matched - np.fft.ifft(regenerated, axis=0).T.ravel()
-    if scale_by_diag:
-        estimate = estimate / np.where(cancel.diag > 0.0, cancel.diag, 1.0)
-    return estimate
+    return estimate / np.where(cancel.diag > 0.0, cancel.diag, 1.0)

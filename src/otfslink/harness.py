@@ -136,20 +136,17 @@ def run_trial(
 
     enabled = set(config.equalizers)
     errors: dict[str, int] = {}
-    cfr = (
-        chan.cfr_from_cir(cir, frame)
-        if enabled & {"otfs_fde", "otfs_fde_dde", "ofdm_single_tap"}
-        else None
-    )
+    # one single-tap gain grid serves the OTFS first stage and plain OFDM
+    if enabled & {"otfs_fde", "otfs_fde_dde", "ofdm_single_tap"}:
+        fde_gains = eq.fde_build(chan.cfr_from_cir(cir, frame), var, mode=config.fde_mode)
 
     x_otfs = cp_remove(otfs_modulate_fast(x_dd, frame), frame).data
     y_otfs = chan.apply_time_channel(cir, x_otfs, frame) + noise
 
     stage_one = None
     if enabled & {"otfs_fde", "otfs_fde_dde"}:
-        coeffs = eq.fde_build(cfr, var, mode=config.fde_mode)
         y_tf = tf_stage(TimeSignal(y_otfs), frame)
-        stage_one = dsft_inverse(eq.fde_apply(coeffs, y_tf), frame).to_vector()
+        stage_one = dsft_inverse(eq.fde_apply(fde_gains, y_tf), frame).to_vector()
         if "otfs_fde" in enabled:
             errors["otfs_fde"] = _count_errors(stage_one, bits)
 
@@ -179,9 +176,8 @@ def run_trial(
         x_ofdm = cp_remove(ofdm_modulate(x_tf, frame), frame).data
         y_ofdm = chan.apply_time_channel(cir, x_ofdm, frame) + noise
         if "ofdm_single_tap" in enabled:
-            y_tf_ofdm = tf_stage(TimeSignal(y_ofdm), frame)
-            hat = eq.ofdm_single_tap(y_tf_ofdm, cfr, var, mode=config.fde_mode)
-            errors["ofdm_single_tap"] = int(np.count_nonzero(hat != bits))
+            equalized = eq.fde_apply(fde_gains, tf_stage(TimeSignal(y_ofdm), frame))
+            errors["ofdm_single_tap"] = _count_errors(equalized.to_vector(), bits)
         if "ofdm_full_mmse" in enabled:
             matched = eq.symbol_matched_filter(blocks, y_ofdm)
             estimate = eq.ofdm_full_mmse(factor, matched)
@@ -301,16 +297,15 @@ def read_csv(path: str) -> list[BerRecord]:
 # configuration files and presets
 
 _FRAME_KEYS = {f.name for f in fields(FrameConfig)}
+_FRAME_COUNTS = {"n_subcarriers", "n_doppler_bins", "max_delay_taps", "cp_len"}
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _PROFILE_KEYS = {"delays_us", "delays_samples", "powers_db"}
 
 
-def _parse_snr(value) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "+inf", "infinity"):
-            return float("inf")
-        raise ValueError(f"bad SNR value: {value!r}")
-    return float(value)
+def _parse_snr(value, what: str) -> float:
+    if isinstance(value, str) and value.lower() in ("inf", "+inf", "infinity"):
+        return float("inf")
+    return _json_number(value, what)
 
 
 def _json_int(value, what: str) -> int:
@@ -318,6 +313,27 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; booleans and strings are
+    rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _json_array(value, what: str, parse) -> tuple:
+    """Each entry of ``value`` through ``parse``, if it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return tuple(parse(v, f"{what} entry") for v in value)
 
 
 def _parse_profile(raw: dict, sample_rate: float) -> chan.TapProfile:
@@ -332,12 +348,12 @@ def _parse_profile(raw: dict, sample_rate: float) -> chan.TapProfile:
     has_samples = "delays_samples" in raw
     if has_us == has_samples:
         raise ValueError("profile needs exactly one of delays_us, delays_samples")
+    powers_db = _json_array(raw["powers_db"], "powers_db", _json_number)
     if has_us:
-        return chan.TapProfile.from_microseconds(
-            raw["delays_us"], raw["powers_db"], sample_rate
-        )
-    delays = [_json_int(d, "delays_samples entry") for d in raw["delays_samples"]]
-    return chan.TapProfile.from_powers_db(delays, raw["powers_db"])
+        delays_us = _json_array(raw["delays_us"], "delays_us", _json_number)
+        return chan.TapProfile.from_microseconds(delays_us, powers_db, sample_rate)
+    delays = _json_array(raw["delays_samples"], "delays_samples", _json_int)
+    return chan.TapProfile.from_powers_db(delays, powers_db)
 
 
 def load_experiment_config(source: "str | dict") -> ExperimentConfig:
@@ -364,25 +380,32 @@ def load_experiment_config(source: "str | dict") -> ExperimentConfig:
     unknown = set(frame_raw) - _FRAME_KEYS
     if unknown:
         raise ValueError(f"unknown frame keys: {sorted(unknown)}")
-    frame = FrameConfig(**frame_raw)
+    frame = FrameConfig(
+        **{
+            key: (_json_int if key in _FRAME_COUNTS else _json_number)(value, key)
+            for key, value in frame_raw.items()
+        }
+    )
 
     kwargs: dict = {
         "frame": frame,
         "profile": _parse_profile(raw["profile"], frame.sample_rate),
     }
-    if "snr_db_list" in raw:
-        kwargs["snr_db_list"] = tuple(_parse_snr(v) for v in raw["snr_db_list"])
-    if "doppler_hz_list" in raw:
-        kwargs["doppler_hz_list"] = tuple(float(v) for v in raw["doppler_hz_list"])
-    if "equalizers" in raw:
-        kwargs["equalizers"] = tuple(str(v) for v in raw["equalizers"])
+    lists = {
+        "snr_db_list": _parse_snr,
+        "doppler_hz_list": _json_number,
+        "equalizers": _json_str,
+    }
+    for key, parse in lists.items():
+        if key in raw:
+            kwargs[key] = _json_array(raw[key], key, parse)
     for key in ("n_trials", "base_seed", "dde_iterations"):
         if key in raw:
             kwargs[key] = _json_int(raw[key], key)
     if "fde_mode" in raw:
-        kwargs["fde_mode"] = str(raw["fde_mode"])
+        kwargs["fde_mode"] = _json_str(raw["fde_mode"], "fde_mode")
     if "clip_threshold" in raw:
-        kwargs["clip_threshold"] = float(raw["clip_threshold"])
+        kwargs["clip_threshold"] = _json_number(raw["clip_threshold"], "clip_threshold")
     if "fading" in raw:
         if not isinstance(raw["fading"], bool):
             raise ValueError("fading must be true or false")
@@ -490,16 +513,25 @@ def inspect_channel(
     config: ExperimentConfig, doppler_hz: float, path: str, seed: "int | None" = None
 ) -> None:
     """Write the magnitude of one equivalent-channel realization as a dense
-    CSV (one row per delay-Doppler output index)."""
+    CSV (one row per delay-Doppler output index).
+
+    The equivalent channel is circulant over Doppler, so every row is read
+    from the :func:`~otfslink.channel.doppler_coupling` of the per-symbol
+    block stack; no ``frame_size``-square matrix is formed.
+    """
+    frame = config.frame
     cir = chan.generate_cir(
         config.profile,
         doppler_hz,
-        config.frame,
+        frame,
         config.base_seed if seed is None else seed,
     )
-    h_tl = chan.build_time_channel_matrix(cir, config.frame)
-    h_eq = chan.build_equivalent_channel(h_tl, config.frame)
-    mags = np.abs(h_eq)
+    mags = np.abs(chan.doppler_coupling(chan.symbol_channel_blocks(cir, frame)))
+    k = np.arange(frame.n_doppler_bins)
+    shifts = (k[:, None] - k[None, :]) % frame.n_doppler_bins
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in mags:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for delay in range(frame.n_subcarriers):
+            # row (delay, k), column (l', k') holds |c[(k - k') mod N, delay, l']|
+            rows = mags[shifts, delay].transpose(0, 2, 1).reshape(len(k), -1)
+            for row in rows:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")

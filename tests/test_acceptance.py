@@ -16,35 +16,38 @@ import pytest
 from scipy.special import erfc
 
 import _report
+from oracles import (
+    REFERENCE_GRIDS,
+    band_support,
+    build_equivalent_channel,
+    build_time_channel_matrix,
+    dde_build,
+    dde_equalize,
+    dsft_forward,
+    extended_fft_matrix,
+    otfs_modulate,
+    reorder_indices,
+)
 from otfslink import (
     DelayDopplerGrid,
     FrameConfig,
     TapProfile,
     TimeSignal,
     apply_time_channel,
-    band_support,
-    build_equivalent_channel,
-    build_time_channel_matrix,
     cfr_from_cir,
     cp_remove,
-    dde_build,
-    dde_equalize,
-    dsft_forward,
     dsft_inverse,
-    extended_fft_matrix,
     fde_apply,
     fde_build,
     generate_cir,
+    harness,
     otfs_demodulate,
-    otfs_modulate,
     otfs_modulate_fast,
     qpsk_map,
     qpsk_slice,
-    reorder_indices,
     single_tap_profile,
     tf_stage,
 )
-from otfslink import REFERENCE_GRIDS, harness
 from otfslink.frame import random_bits
 
 TOY = FrameConfig(

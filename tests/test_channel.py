@@ -9,28 +9,30 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 
+from oracles import (
+    apply_channel,
+    band_support,
+    build_equivalent_channel,
+    build_time_channel_matrix,
+    dft_matrix,
+    extract_cfr,
+    symbol_frequency_matrices,
+)
 from otfslink import (
     DelayDopplerGrid,
     FrameConfig,
     TapProfile,
     TimeSignal,
-    apply_channel,
     apply_time_channel,
-    band_support,
-    build_equivalent_channel,
-    build_time_channel_matrix,
     cfr_from_cir,
     cir_from_gains,
     cp_add,
     cp_remove,
-    dft_matrix,
-    extract_cfr,
     fixed_cir,
     generate_cir,
     noise_variance,
     otfs_modulate_fast,
     single_tap_profile,
-    symbol_frequency_matrices,
     tu6_profile,
 )
 from otfslink.channel import TU6_DELAYS_US, TU6_POWERS_DB, awgn

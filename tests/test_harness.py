@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from otfslink import FrameConfig, TapProfile, single_tap_profile
+from oracles import build_equivalent_channel, build_time_channel_matrix
+from otfslink import FrameConfig, TapProfile, generate_cir, single_tap_profile
 from otfslink import harness
 from otfslink.cli import main
 
@@ -288,6 +290,21 @@ class TestLoadExperimentConfig:
             lambda d: d.update(n_trials=True),
             lambda d: d.update(base_seed=7.0),
             lambda d: d.update(dde_iterations=True),
+            lambda d: d["frame"].update(n_subcarriers=8.0),
+            lambda d: d["frame"].update(n_doppler_bins=True),
+            lambda d: d["frame"].update(sample_rate="64000"),
+            lambda d: d["frame"].update(sample_rate=True),
+            lambda d: d.update(snr_db_list=5),
+            lambda d: d.update(snr_db_list=[True]),
+            lambda d: d.update(doppler_hz_list=0.0),
+            lambda d: d.update(doppler_hz_list=[True]),
+            lambda d: d.update(doppler_hz_list=["6000"]),
+            lambda d: d.update(clip_threshold="0.1"),
+            lambda d: d.update(clip_threshold=True),
+            lambda d: d.update(equalizers="otfs_fde"),
+            lambda d: d["profile"].update(delays_samples=0),
+            lambda d: d["profile"].update(powers_db=0.0),
+            lambda d: d["profile"].update(powers_db=["0", "0", "0"]),
         ],
     )
     def test_rejects_malformed_documents(self, mutate):
@@ -345,6 +362,7 @@ class TestWithOverrides:
             harness.with_overrides(harness.toy_preset(), equalizers=("bogus",))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestInspectChannel:
     def test_writes_dense_magnitude_grid(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -356,6 +374,29 @@ class TestInspectChannel:
         values = np.array([[float(v) for v in row] for row in rows])
         assert (values >= 0).all()
         assert values.max() > 0
+
+    @pytest.mark.parametrize("doppler_hz", [0.0, 1280.0])
+    @pytest.mark.parametrize("preset", ["toy", "desk"])
+    def test_grid_is_the_equivalent_channel_magnitude(self, tmp_path, preset, doppler_hz):
+        config = harness.PRESETS[preset]()
+        path = tmp_path / "grid.csv"
+        harness.inspect_channel(config, doppler_hz, str(path))
+        cir = generate_cir(config.profile, doppler_hz, config.frame, config.base_seed)
+        h_tl = build_time_channel_matrix(cir, config.frame)
+        h_eq = build_equivalent_channel(h_tl, config.frame)
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert_allclose(values, np.abs(h_eq), rtol=0, atol=1e-12)
+
+    def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
+        config = harness.desk_preset()
+        dense_bytes = config.frame.frame_size**2 * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            harness.inspect_channel(config, 1280.0, str(tmp_path / "grid.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -430,6 +471,27 @@ class TestCli:
         out = tmp_path / "results.csv"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["frame"].update(n_subcarriers=8.0),
+            lambda d: d.update(snr_db_list=5),
+            lambda d: d.update(doppler_hz_list=[True]),
+            lambda d: d.update(doppler_hz_list=["6000"]),
+            lambda d: d.update(clip_threshold="0.1"),
+            lambda d: d.update(equalizers="otfs_fde"),
+        ],
+    )
+    def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):
+        path = tmp_path / "config.json"
+        doc = config_document()
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "results.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_missing_config_file_is_reported(self, tmp_path):
