@@ -14,15 +14,8 @@ from .channel import (
     single_tap_profile,
     tu6_profile,
 )
-from .equalizers import fde_apply, fde_build
-from .frame import (
-    DelayDopplerGrid,
-    FrameConfig,
-    TimeFrequencyGrid,
-    TimeSignal,
-    qpsk_map,
-    qpsk_slice,
-)
+from .equalizers import fde_build
+from .frame import FrameConfig, qpsk_map, qpsk_slice
 from .harness import (
     EQUALIZER_NAMES,
     BerRecord,
@@ -39,8 +32,6 @@ from .harness import (
     toy_preset,
 )
 from .transforms import (
-    cp_add,
-    cp_remove,
     dsft_inverse,
     ofdm_modulate,
     otfs_demodulate,
@@ -52,23 +43,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerRecord",
-    "DelayDopplerGrid",
     "EQUALIZER_NAMES",
     "ExperimentConfig",
     "FrameConfig",
     "TapProfile",
-    "TimeFrequencyGrid",
-    "TimeSignal",
     "TimeVaryingCir",
     "apply_time_channel",
     "cfr_from_cir",
     "cir_from_gains",
-    "cp_add",
-    "cp_remove",
     "desk_preset",
     "dsft_inverse",
     "emit_csv",
-    "fde_apply",
     "fde_build",
     "fixed_cir",
     "generate_cir",

@@ -8,8 +8,9 @@ after CP removal the time-domain channel is block diagonal, one circular
 reproduces the physical convolution exactly; with Doppler the two differ
 only through tap variation across the CP samples.
 
-``apply_time_channel`` filters a frame tap by tap, ``cfr_from_cir`` gives
-the single-tap equalizers their per-symbol frequency response, and
+``apply_time_channel`` filters an ``(n_doppler_bins, n_subcarriers)`` time
+frame tap by tap, ``cfr_from_cir`` gives the single-tap equalizers their
+frequency response in the same layout, one row per symbol, and
 ``symbol_channel_blocks`` returns the ``(n_doppler_bins, n_subcarriers,
 n_subcarriers)`` block stack.  The delay-Doppler channel built from such a
 stack is circulant over Doppler; ``doppler_coupling`` gives its entries.
@@ -144,8 +145,8 @@ def generate_cir(
     the profile's mean tap powers.  ``doppler_hz = 0`` collapses every tap
     to a random complex constant.
     """
-    if doppler_hz < 0:
-        raise ValueError("doppler_hz must be non-negative")
+    if not 0 <= doppler_hz < np.inf:
+        raise ValueError("doppler_hz must be finite and non-negative")
     _check_profile_fits(profile, config)
     if doppler_hz * config.frame_duration >= 0.5:
         warnings.warn(
@@ -212,23 +213,21 @@ def fixed_cir(profile: TapProfile, config: FrameConfig) -> TimeVaryingCir:
 def apply_time_channel(
     cir: TimeVaryingCir, x: np.ndarray, config: FrameConfig
 ) -> np.ndarray:
-    """Pass a frame (cyclic prefixes removed) through the per-symbol
+    """Pass a time frame (cyclic prefixes removed) through the per-symbol
     channel: in symbol ``n``, output sample ``s`` adds tap ``d`` times input
     sample ``(s - d) mod n_subcarriers``."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (config.frame_size,):
-        raise ValueError(f"expected vector of length {config.frame_size}")
-    blocks = x.reshape(config.n_doppler_bins, config.n_subcarriers)
-    y = np.zeros_like(blocks)
+    y = np.zeros((config.n_doppler_bins, config.n_subcarriers), dtype=np.complex128)
     for d, g in zip(cir.delays, cir.frame_gains(config)):
-        y += g * np.roll(blocks, d, axis=1)
-    return y.ravel()
+        y += g * np.roll(x, d, axis=1)
+    return y
 
 
 def noise_variance(snr_db: float) -> float:
-    """Complex noise variance for unit received symbol energy; inf SNR -> 0."""
-    if np.isinf(snr_db):
+    """Complex noise variance for unit received symbol energy; +inf SNR -> 0."""
+    if snr_db == np.inf:
         return 0.0
+    if not snr_db > -np.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     return float(10.0 ** (-snr_db / 10.0))
 
 
@@ -243,20 +242,20 @@ def awgn(
 def _cfr_from_gains(
     delays: "tuple[int, ...] | range", gains: np.ndarray, config: FrameConfig
 ) -> np.ndarray:
-    """Subcarrier response per symbol from post-CP tap gains, shape
+    """Subcarrier response per symbol from post-CP tap gains of shape
     ``(len(delays), n_doppler_bins, n_subcarriers)``: DFT of the
-    symbol-averaged impulse response."""
+    symbol-averaged impulse response, one row per symbol."""
     # numpy rounds a mean according to memory layout; a leading-axis mean of
     # a fresh copy always adds each symbol's samples one by one, in time order
     per_symbol = np.moveaxis(gains, 2, 0).copy().mean(axis=0)
-    padded = np.zeros((config.n_subcarriers, config.n_doppler_bins), dtype=np.complex128)
-    padded[list(delays)] = per_symbol
-    return np.fft.fft(padded, axis=0)
+    padded = np.zeros((config.n_doppler_bins, config.n_subcarriers), dtype=np.complex128)
+    padded[:, list(delays)] = per_symbol.T
+    return np.fft.fft(padded, axis=1)
 
 
 def cfr_from_cir(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
-    """Per-symbol channel frequency response, shape ``(n_subcarriers,
-    n_doppler_bins)``: column ``n`` is the diagonal of symbol ``n``'s block
+    """Per-symbol channel frequency response, shape ``(n_doppler_bins,
+    n_subcarriers)``: row ``n`` is the diagonal of symbol ``n``'s block
     conjugated by the DFT."""
     return _cfr_from_gains(cir.delays, cir.frame_gains(config), config)
 

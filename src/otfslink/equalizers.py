@@ -1,12 +1,12 @@
 """Two-stage equalization and the reference equalizers it is compared against.
 
-Stage one is a per-subcarrier frequency-domain equalizer (FDE) on the
-time-frequency grid; the plain OFDM baseline applies the same single-tap
-gains to its own grid.  Stage two re-enters the delay-Doppler domain and
-cancels the residual inter-symbol coupling: a matched filter through the
-equivalent channel minus a clipped cancellation matrix applied to the hard
-decisions from stage one.  The other baseline is full linear MMSE on
-either link.
+Stage one is a per-subcarrier frequency-domain equalizer (FDE): the gains
+from :func:`fde_build` multiply the time-frequency grid entry by entry, and
+the plain OFDM baseline applies the same gains to its own grid.  Stage two
+re-enters the delay-Doppler domain and cancels the residual inter-symbol
+coupling: a matched filter through the equivalent channel minus a clipped
+cancellation matrix applied to the hard decisions from stage one.  The
+other baseline is full linear MMSE on either link.
 
 With per-symbol cyclic prefixes the time-domain channel is block diagonal,
 one ``n_subcarriers``-square block ``H_n`` per OFDM symbol, and both links'
@@ -16,6 +16,7 @@ batched Cholesky factorization of ``G_n + noise_var I`` (see
 :func:`mmse_factor`), and the delay-Doppler Gram that the cancellation
 stage needs is block circulant over Doppler (see
 :func:`dde_build_circulant`).  No ``frame_size``-square matrix is formed.
+Every frame in and out is an ``(n_doppler_bins, n_subcarriers)`` array.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .channel import doppler_coupling
-from .frame import FrameConfig, TimeFrequencyGrid, TimeSignal, qpsk_slice
+from .frame import qpsk_slice
 from .transforms import otfs_demodulate
 
 FDE_MODES = ("magnitude", "mmse")
@@ -53,16 +54,6 @@ def fde_build(cfr: np.ndarray, noise_var: float, mode: str = "magnitude") -> np.
     return gains
 
 
-def fde_apply(gains: np.ndarray, grid: TimeFrequencyGrid) -> TimeFrequencyGrid:
-    data = np.asarray(grid.data)
-    if gains.shape != data.shape:
-        raise ValueError(
-            f"coefficient grid {gains.shape} does not match "
-            f"signal grid {data.shape}"
-        )
-    return TimeFrequencyGrid(gains * data)
-
-
 def _clip(coupling: np.ndarray, clip_threshold: float) -> np.ndarray:
     """Zero entries below ``clip_threshold`` times the largest magnitude."""
     if clip_threshold > 0.0:
@@ -79,11 +70,8 @@ def symbol_grams(blocks: np.ndarray) -> np.ndarray:
 
 
 def symbol_matched_filter(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-symbol matched filter ``H_n^H y_n`` of a sequential time frame
-    (cyclic prefixes removed), as an ``(N, M)`` array of symbols."""
-    n_dop, n_sub, _ = blocks.shape
-    y = np.asarray(y, dtype=np.complex128).reshape(n_dop, n_sub, 1)
-    return (blocks.conj().swapaxes(1, 2) @ y)[..., 0]
+    """Per-symbol matched filter ``H_n^H y_n`` of an ``(N, M)`` time frame."""
+    return (blocks.conj().swapaxes(1, 2) @ y[..., None])[..., 0]
 
 
 def mmse_factor(grams: np.ndarray, noise_var: float) -> np.ndarray:
@@ -113,27 +101,24 @@ def mmse_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
 
 
-def otfs_full_mmse(
-    factor: np.ndarray, matched: np.ndarray, config: FrameConfig
-) -> np.ndarray:
-    """Full MMSE on the OTFS link, as a delay-Doppler vector.
+def otfs_full_mmse(factor: np.ndarray, matched: np.ndarray) -> np.ndarray:
+    """Full MMSE on the OTFS link, as a delay-Doppler grid.
 
     ``matched`` is :func:`symbol_matched_filter` of the received OTFS frame.
     The modulator is unitary, so the per-symbol solution demodulated equals
     the full MMSE solution on the equivalent channel.
     """
-    solved = mmse_solve(factor, matched)
-    return otfs_demodulate(TimeSignal(solved.ravel()), config).to_vector()
+    return otfs_demodulate(mmse_solve(factor, matched))
 
 
 def ofdm_full_mmse(factor: np.ndarray, matched: np.ndarray) -> np.ndarray:
-    """Full MMSE on the plain OFDM link, as a time-frequency vector.
+    """Full MMSE on the plain OFDM link, as a time-frequency grid.
 
     ``matched`` is :func:`symbol_matched_filter` of the received OFDM frame.
     The unitary FFT of each symbol's solution equals the full MMSE solution
     on that symbol's frequency-domain matrix ``F H_n F^H``.
     """
-    return np.fft.fft(mmse_solve(factor, matched), axis=1, norm="ortho").ravel()
+    return np.fft.fft(mmse_solve(factor, matched), axis=1, norm="ortho")
 
 
 @dataclass(frozen=True)
@@ -150,8 +135,8 @@ class CirculantCancellation:
     FFT of ``coupling`` over its first axis, so ``r_bar @ d`` is a Doppler
     FFT of ``d``, one ``n_subcarriers``-square product per Doppler frequency
     and an inverse FFT.  ``diag`` is the removed diagonal (real and
-    non-negative) in delay-Doppler vector order, for the final per-symbol
-    scaling.
+    non-negative), one value per delay bin since it does not vary over
+    Doppler, for the final per-symbol scaling.
     """
 
     coupling: np.ndarray
@@ -173,10 +158,9 @@ def dde_build_circulant(
     """
     if not 0.0 <= clip_threshold <= 1.0:
         raise ValueError("clip_threshold must lie in [0, 1]")
-    n_dop, n_sub, _ = grams.shape
     coupling = doppler_coupling(grams)
-    diag = np.repeat(np.real(np.diagonal(coupling[0])), n_dop)
-    delay = np.arange(n_sub)
+    diag = np.diagonal(coupling[0]).real.copy()
+    delay = np.arange(grams.shape[1])
     coupling[0, delay, delay] = 0.0
     coupling = _clip(coupling, clip_threshold)
     return CirculantCancellation(
@@ -197,15 +181,13 @@ def dde_equalize_circulant(
     which is ``otfs_demodulate`` of :func:`symbol_matched_filter`;
     ``stage_one_symbols`` seed the hard decisions whose regenerated
     interference is subtracted from it.  Each entry is then divided by its
-    matched-filter gain, restoring the constellation scale.
+    matched-filter gain, restoring the constellation scale.  Both grids and
+    the result are ``(n_doppler_bins, n_subcarriers)`` arrays.
     """
-    matched = np.asarray(matched, dtype=np.complex128).ravel()
-    n_dop, n_sub, _ = cancel.spectrum.shape
-    if matched.size != n_dop * n_sub:
-        raise ValueError("cancellation size does not match the received vector")
-    _, decided = qpsk_slice(np.asarray(stage_one_symbols).ravel())
-    # delay-Doppler vectors hold one block of n_dop Doppler entries per delay
-    decided_freq = np.fft.fft(decided.reshape(n_sub, n_dop), axis=1)
-    regenerated = (cancel.spectrum @ decided_freq.T[..., None])[..., 0]
-    estimate = matched - np.fft.ifft(regenerated, axis=0).T.ravel()
+    if matched.shape != cancel.spectrum.shape[:2]:
+        raise ValueError("cancellation size does not match the received grid")
+    _, decided = qpsk_slice(stage_one_symbols)
+    decided_freq = np.fft.fft(decided.reshape(matched.shape), axis=0)
+    regenerated = (cancel.spectrum @ decided_freq[..., None])[..., 0]
+    estimate = matched - np.fft.ifft(regenerated, axis=0)
     return estimate / np.where(cancel.diag > 0.0, cancel.diag, 1.0)

@@ -1,17 +1,12 @@
-"""Frame geometry, grid containers, and QPSK symbol mapping.
+"""Frame geometry and QPSK symbol mapping.
 
-Layout conventions used throughout the package:
-
-* A delay-Doppler grid is an ``(n_doppler_bins, n_subcarriers)`` array:
-  rows index Doppler, columns index delay.
-* A time-frequency grid is an ``(n_subcarriers, n_doppler_bins)`` array:
-  rows index subcarriers, columns index OFDM symbols.
-* Grids are vectorized column-major.  A delay-Doppler vector is therefore
-  ``n_subcarriers`` consecutive blocks of ``n_doppler_bins`` Doppler entries
-  (one block per delay bin); a time-frequency vector is ``n_doppler_bins``
-  blocks of ``n_subcarriers`` entries (one block per OFDM symbol).
-* A time signal is one dimensional, sequential sample order, with or
-  without per-symbol cyclic prefixes.
+The layout used throughout the package: every frame is a plain
+``(n_doppler_bins, n_subcarriers)`` array with one row per OFDM symbol or
+Doppler bin.  That covers the time frame (cyclic prefixes removed, row
+``n`` holding symbol ``n``'s samples), the time-frequency grid (row ``n``
+holding symbol ``n``'s subcarriers), the delay-Doppler grid (rows Doppler,
+columns delay), the channel frequency response and the single-tap gains.
+Every transform is then one FFT along one axis of such an array.
 """
 
 from __future__ import annotations
@@ -65,10 +60,10 @@ class FrameConfig:
                 "cp_len must cover the channel memory "
                 f"(need >= {self.max_delay_taps - 1}, got {self.cp_len})"
             )
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.carrier_freq < 0:
-            raise ValueError("carrier_freq must be non-negative")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be finite and positive")
+        if not 0 <= self.carrier_freq < np.inf:
+            raise ValueError("carrier_freq must be finite and non-negative")
 
     @property
     def frame_size(self) -> int:
@@ -98,104 +93,13 @@ class FrameConfig:
         return speed_kmh / 3.6 * self.carrier_freq / 299_792_458.0
 
 
-def _as_complex_2d(data: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
-    out = np.asarray(data, dtype=np.complex128)
-    if out.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {out.shape}")
-    return out
-
-
-@dataclass(frozen=True)
-class DelayDopplerGrid:
-    """Data symbols on the delay-Doppler plane; rows Doppler, columns delay."""
-
-    data: np.ndarray
-
-    @classmethod
-    def zeros(cls, config: FrameConfig) -> "DelayDopplerGrid":
-        return cls(np.zeros((config.n_doppler_bins, config.n_subcarriers), complex))
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, config: FrameConfig) -> "DelayDopplerGrid":
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (config.frame_size,):
-            raise ValueError(
-                f"expected vector of length {config.frame_size}, got {vec.shape}"
-            )
-        shape = (config.n_doppler_bins, config.n_subcarriers)
-        return cls(vec.reshape(shape, order="F"))
-
-    def validate(self, config: FrameConfig) -> np.ndarray:
-        return _as_complex_2d(
-            self.data,
-            (config.n_doppler_bins, config.n_subcarriers),
-            "delay-Doppler grid",
-        )
-
-    def to_vector(self) -> np.ndarray:
-        """Column-major vector: one block of Doppler entries per delay bin."""
-        return np.asarray(self.data, dtype=np.complex128).ravel(order="F")
-
-
-@dataclass(frozen=True)
-class TimeFrequencyGrid:
-    """Subcarrier values per OFDM symbol; rows subcarrier, columns symbol."""
-
-    data: np.ndarray
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, config: FrameConfig) -> "TimeFrequencyGrid":
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (config.frame_size,):
-            raise ValueError(
-                f"expected vector of length {config.frame_size}, got {vec.shape}"
-            )
-        shape = (config.n_subcarriers, config.n_doppler_bins)
-        return cls(vec.reshape(shape, order="F"))
-
-    def validate(self, config: FrameConfig) -> np.ndarray:
-        return _as_complex_2d(
-            self.data,
-            (config.n_subcarriers, config.n_doppler_bins),
-            "time-frequency grid",
-        )
-
-    def to_vector(self) -> np.ndarray:
-        """Column-major vector: one block of subcarrier entries per symbol."""
-        return np.asarray(self.data, dtype=np.complex128).ravel(order="F")
-
-
-@dataclass(frozen=True)
-class TimeSignal:
-    """Sequential baseband samples, with or without cyclic prefixes."""
-
-    data: np.ndarray
-    has_cp: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "data", np.asarray(self.data, dtype=np.complex128).ravel()
-        )
-
-    def expected_length(self, config: FrameConfig) -> int:
-        return config.frame_size_with_cp if self.has_cp else config.frame_size
-
-    def validate(self, config: FrameConfig) -> np.ndarray:
-        n = self.expected_length(config)
-        if self.data.shape != (n,):
-            raise ValueError(
-                f"time signal (has_cp={self.has_cp}) must have length {n}, "
-                f"got {self.data.shape}"
-            )
-        return self.data
-
-
-def qpsk_map(bits: np.ndarray, config: FrameConfig) -> DelayDopplerGrid:
-    """Map a Gray-coded bit stream onto the delay-Doppler grid.
+def qpsk_map(bits: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """Map a Gray-coded bit stream onto one frame of QPSK symbols.
 
     Bit pair ``(b0, b1)`` becomes ``((1 - 2*b0) + 1j*(1 - 2*b1)) / sqrt(2)``,
-    so every constellation point has unit energy.  Symbols fill the grid in
-    its vectorization order.
+    so every constellation point has unit energy.  Returns the
+    ``frame_size`` symbols in payload order, the inverse of
+    :func:`qpsk_slice`.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size != config.bits_per_frame:
@@ -204,8 +108,7 @@ def qpsk_map(bits: np.ndarray, config: FrameConfig) -> DelayDopplerGrid:
         )
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("bits must be 0 or 1")
-    symbols = ((1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])) / np.sqrt(2.0)
-    return DelayDopplerGrid.from_vector(symbols, config)
+    return ((1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])) / np.sqrt(2.0)
 
 
 def qpsk_slice(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +116,8 @@ def qpsk_slice(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(bits, decided)`` where ``bits`` interleaves the in-phase and
     quadrature decisions and ``decided`` holds the corresponding unit-energy
-    constellation points.  A coordinate exactly on the boundary is decided
-    as positive.
+    constellation points, both in the row-major order of ``symbols``.  A
+    coordinate exactly on the boundary is decided as positive.
     """
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
     bits = np.empty(2 * symbols.size, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Monte-Carlo BER experiments: configuration, trial loop, sweep, CSV output.
 
 Every trial draws one payload, one channel realization, and one noise
-vector, then runs every enabled equalizer against the identical
+frame, then runs every enabled equalizer against the identical
 observation, so equalizer comparisons are paired.  Trial seeds derive from
 ``(base_seed, global trial index)`` alone; results are reproducible bit for
 bit regardless of worker count or sweep-point order.
@@ -17,9 +17,8 @@ import numpy as np
 
 from . import channel as chan
 from . import equalizers as eq
-from .frame import FrameConfig, TimeFrequencyGrid, TimeSignal, qpsk_map, qpsk_slice, random_bits
+from .frame import FrameConfig, qpsk_map, qpsk_slice, random_bits
 from .transforms import (
-    cp_remove,
     dsft_inverse,
     ofdm_modulate,
     otfs_demodulate,
@@ -55,8 +54,8 @@ class ExperimentConfig:
     fading: bool = True
 
     def __post_init__(self) -> None:
-        if not self.snr_db_list or any(np.isnan(s) for s in self.snr_db_list):
-            raise ValueError("snr_db_list must be non-empty and hold no NaN")
+        if not self.snr_db_list or not all(s > -np.inf for s in self.snr_db_list):
+            raise ValueError("snr_db_list must be non-empty and hold no NaN or -inf")
         if not self.doppler_hz_list or not all(0 <= f < np.inf for f in self.doppler_hz_list):
             raise ValueError("doppler_hz_list must be non-empty, finite and non-negative")
         if self.n_trials < 1:
@@ -104,6 +103,18 @@ def sweep_trial_index(
     return (snr_index * n_dop + doppler_index) * config.n_trials + trial
 
 
+def _draw_channel(
+    config: ExperimentConfig, doppler_hz: float, seed: "int | np.random.SeedSequence"
+) -> chan.TimeVaryingCir:
+    """The channel realization of one trial: a fresh Rayleigh draw, or the
+    fixed taps of a non-fading config."""
+    if config.fading:
+        return chan.generate_cir(config.profile, doppler_hz, config.frame, seed)
+    if doppler_hz != 0:
+        raise ValueError("a non-fading channel cannot carry Doppler")
+    return chan.fixed_cir(config.profile, config.frame)
+
+
 def run_trial(
     config: ExperimentConfig, snr_db: float, doppler_hz: float, trial_index: int
 ) -> dict[str, int]:
@@ -119,19 +130,19 @@ def run_trial(
     bits_seed, channel_seed, noise_seed = root.spawn(3)
 
     bits = random_bits(frame.bits_per_frame, np.random.default_rng(bits_seed))
-    x_dd = qpsk_map(bits, frame)
-    symbols = x_dd.to_vector()
+    symbols = qpsk_map(bits, frame)
+    # payload symbol i sits at Doppler row i % N, delay column i // N of the
+    # OTFS grid and at symbol row i // M, subcarrier column i % M of the OFDM
+    # grid; error counts read each link's estimate back in that order
+    shape = (frame.n_doppler_bins, frame.n_subcarriers)
+    x_dd = symbols.reshape(frame.n_subcarriers, frame.n_doppler_bins).T
 
-    cir = (
-        chan.generate_cir(config.profile, doppler_hz, frame, channel_seed)
-        if config.fading
-        else chan.fixed_cir(config.profile, frame)
-    )
+    cir = _draw_channel(config, doppler_hz, channel_seed)
     var = chan.noise_variance(snr_db)
     noise = (
-        chan.awgn(frame.frame_size, var, np.random.default_rng(noise_seed))
+        chan.awgn(shape, var, np.random.default_rng(noise_seed))
         if var > 0.0
-        else np.zeros(frame.frame_size, dtype=np.complex128)
+        else np.zeros(shape, dtype=np.complex128)
     )
 
     enabled = set(config.equalizers)
@@ -140,15 +151,13 @@ def run_trial(
     if enabled & {"otfs_fde", "otfs_fde_dde", "ofdm_single_tap"}:
         fde_gains = eq.fde_build(chan.cfr_from_cir(cir, frame), var, mode=config.fde_mode)
 
-    x_otfs = cp_remove(otfs_modulate_fast(x_dd, frame), frame).data
-    y_otfs = chan.apply_time_channel(cir, x_otfs, frame) + noise
+    y_otfs = chan.apply_time_channel(cir, otfs_modulate_fast(x_dd), frame) + noise
 
     stage_one = None
     if enabled & {"otfs_fde", "otfs_fde_dde"}:
-        y_tf = tf_stage(TimeSignal(y_otfs), frame)
-        stage_one = dsft_inverse(eq.fde_apply(fde_gains, y_tf), frame).to_vector()
+        stage_one = dsft_inverse(fde_gains * tf_stage(y_otfs))
         if "otfs_fde" in enabled:
-            errors["otfs_fde"] = _count_errors(stage_one, bits)
+            errors["otfs_fde"] = _count_errors(stage_one.T, bits)
 
     # the per-symbol receivers share one block stack, its Grams and, for
     # both full-MMSE links, one batched factorization
@@ -161,23 +170,22 @@ def run_trial(
     if enabled & {"otfs_fde_dde", "otfs_full_mmse"}:
         matched = eq.symbol_matched_filter(blocks, y_otfs)
         if "otfs_fde_dde" in enabled:
-            matched_dd = otfs_demodulate(TimeSignal(matched.ravel()), frame).to_vector()
+            matched_dd = otfs_demodulate(matched)
             cancel = eq.dde_build_circulant(grams, config.clip_threshold)
             estimate = eq.dde_equalize_circulant(matched_dd, stage_one, cancel)
             for _ in range(config.dde_iterations - 1):
                 estimate = eq.dde_equalize_circulant(matched_dd, estimate, cancel)
-            errors["otfs_fde_dde"] = _count_errors(estimate, bits)
+            errors["otfs_fde_dde"] = _count_errors(estimate.T, bits)
         if "otfs_full_mmse" in enabled:
-            estimate = eq.otfs_full_mmse(factor, matched, frame)
-            errors["otfs_full_mmse"] = _count_errors(estimate, bits)
+            estimate = eq.otfs_full_mmse(factor, matched)
+            errors["otfs_full_mmse"] = _count_errors(estimate.T, bits)
 
     if enabled & {"ofdm_single_tap", "ofdm_full_mmse"}:
-        x_tf = TimeFrequencyGrid.from_vector(symbols, frame)
-        x_ofdm = cp_remove(ofdm_modulate(x_tf, frame), frame).data
-        y_ofdm = chan.apply_time_channel(cir, x_ofdm, frame) + noise
+        x_tf = symbols.reshape(shape)
+        y_ofdm = chan.apply_time_channel(cir, ofdm_modulate(x_tf), frame) + noise
         if "ofdm_single_tap" in enabled:
-            equalized = eq.fde_apply(fde_gains, tf_stage(TimeSignal(y_ofdm), frame))
-            errors["ofdm_single_tap"] = _count_errors(equalized.to_vector(), bits)
+            equalized = fde_gains * tf_stage(y_ofdm)
+            errors["ofdm_single_tap"] = _count_errors(equalized, bits)
         if "ofdm_full_mmse" in enabled:
             matched = eq.symbol_matched_filter(blocks, y_ofdm)
             estimate = eq.ofdm_full_mmse(factor, matched)
@@ -512,20 +520,16 @@ def with_overrides(
 def inspect_channel(
     config: ExperimentConfig, doppler_hz: float, path: str, seed: "int | None" = None
 ) -> None:
-    """Write the magnitude of one equivalent-channel realization as a dense
-    CSV (one row per delay-Doppler output index).
+    """Write the magnitude of one equivalent-channel realization, drawn as
+    :func:`run_trial` draws it, as a dense CSV (one row per delay-Doppler
+    output index).
 
     The equivalent channel is circulant over Doppler, so every row is read
     from the :func:`~otfslink.channel.doppler_coupling` of the per-symbol
     block stack; no ``frame_size``-square matrix is formed.
     """
     frame = config.frame
-    cir = chan.generate_cir(
-        config.profile,
-        doppler_hz,
-        frame,
-        config.base_seed if seed is None else seed,
-    )
+    cir = _draw_channel(config, doppler_hz, config.base_seed if seed is None else seed)
     mags = np.abs(chan.doppler_coupling(chan.symbol_channel_blocks(cir, frame)))
     k = np.arange(frame.n_doppler_bins)
     shifts = (k[:, None] - k[None, :]) % frame.n_doppler_bins

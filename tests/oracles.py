@@ -2,7 +2,12 @@
 
 Nothing here runs in a sweep or the CLI.  These build, the long way, what
 the package computes from the channel's structure: stage-by-stage transform
-chains and dense ``frame_size``-square matrices.
+chains through the CP-extended sequential time layout and dense
+``frame_size``-square matrices.  Frames are ``(n_doppler_bins,
+n_subcarriers)`` arrays as in the package; the dense matrices act on
+delay-Doppler vectors in column-major order (index ``l * n_doppler_bins +
+k`` for delay ``l`` and Doppler ``k``, ``grid.ravel(order="F")``) and on
+time frames in row-major sample order.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from otfslink.channel import (
     symbol_channel_blocks,
 )
 from otfslink.equalizers import _clip
-from otfslink.frame import DelayDopplerGrid, FrameConfig, TimeFrequencyGrid, TimeSignal, qpsk_slice
-from otfslink.transforms import cp_add, cp_remove, otfs_demodulate
+from otfslink.frame import FrameConfig, qpsk_slice
+from otfslink.transforms import otfs_demodulate
 
 # (n_subcarriers, n_doppler_bins) pairs the exhaustive transform checks sweep;
 # small enough that dense-operator comparisons stay fast.
@@ -106,48 +111,60 @@ def extended_fft_matrix(config: FrameConfig) -> np.ndarray:
     return block_dft @ xi
 
 
-def dsft_forward(grid: DelayDopplerGrid, config: FrameConfig) -> TimeFrequencyGrid:
+def dsft_forward(x_dd: np.ndarray) -> np.ndarray:
     """Symplectic finite Fourier transform: delay-Doppler -> time-frequency.
 
     IDFT along the Doppler axis followed by a DFT along the delay axis;
     an impulse at the grid origin spreads to a constant time-frequency grid.
     """
-    x_dd = grid.validate(config)
     time_delay = np.fft.ifft(x_dd, axis=0, norm="ortho")
-    return TimeFrequencyGrid(np.fft.fft(time_delay.T, axis=0, norm="ortho"))
+    return np.fft.fft(time_delay, axis=1, norm="ortho")
 
 
-def _doppler_idft_blocks(grid: DelayDopplerGrid, config: FrameConfig) -> np.ndarray:
+def cp_add(x: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """Prepend a cyclic prefix to every OFDM symbol (row) of a time frame;
+    returns the sequential CP-extended samples.  ``cp_len == 0`` only
+    flattens."""
+    return np.hstack([x[:, x.shape[1] - config.cp_len :], x]).ravel()
+
+
+def cp_remove(y: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """Sequential CP-extended samples -> time frame without the prefixes."""
+    blocks = y.reshape(config.n_doppler_bins, config.n_subcarriers + config.cp_len)
+    return blocks[:, config.cp_len :]
+
+
+def _doppler_idft_blocks(x_dd: np.ndarray) -> np.ndarray:
     """Per-delay-bin IDFT over Doppler, in the interleaved vector layout."""
-    x_dd = grid.validate(config)
     # rows: delay bins; columns: Doppler entries of that bin
     doppler_rows = x_dd.T.copy()
     return np.fft.ifft(doppler_rows, axis=1, norm="ortho").ravel()
 
 
-def otfs_modulate(grid: DelayDopplerGrid, config: FrameConfig) -> TimeSignal:
+def otfs_modulate(x_dd: np.ndarray, config: FrameConfig) -> np.ndarray:
     """Full modulator chain: spread to time-frequency, back to time, reorder, CP.
 
-    Kept stage-by-stage for validation; :func:`otfs_modulate_fast` collapses
-    the two inner block DFTs, which cancel exactly.
+    Kept stage-by-stage for validation; returns the sequential CP-extended
+    samples.  :func:`otfs_modulate_fast` collapses the two inner block DFTs,
+    which cancel exactly, and leaves the prefixes out.
     """
-    interleaved = _doppler_idft_blocks(grid, config)
+    interleaved = _doppler_idft_blocks(x_dd)
     tf_vec = extended_fft_apply(interleaved, config)
     time_vec = extended_fft_apply(tf_vec, config, inverse=True)
     sequential = reorder_indices(config).apply(time_vec)
-    return cp_add(TimeSignal(sequential), config)
+    return cp_add(sequential.reshape(config.n_doppler_bins, config.n_subcarriers), config)
 
 
-def otfs_demodulate_full(signal: TimeSignal, config: FrameConfig) -> DelayDopplerGrid:
-    """Stage-by-stage receive chain through the time-frequency layout; agrees
-    with the collapsed :func:`otfs_demodulate` to machine precision."""
-    y = cp_remove(signal, config).data if signal.has_cp else signal.validate(config)
-    interleaved = reorder_indices(config).apply_transpose(y)
+def otfs_demodulate_full(y: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """Stage-by-stage receive chain from a time frame through the
+    time-frequency layout; agrees with the collapsed
+    :func:`otfs_demodulate` to machine precision."""
+    interleaved = reorder_indices(config).apply_transpose(y.ravel())
     tf_vec = extended_fft_apply(interleaved, config)
     interleaved = extended_fft_apply(tf_vec, config, inverse=True)
     delay_rows = interleaved.reshape(config.n_subcarriers, config.n_doppler_bins)
     y_dd = np.fft.fft(delay_rows, axis=1, norm="ortho")
-    return DelayDopplerGrid(y_dd.T)
+    return y_dd.T
 
 
 @dataclass(frozen=True)
@@ -209,21 +226,21 @@ def build_time_channel_matrix(cir: TimeVaryingCir, config: FrameConfig) -> np.nd
 
 
 def apply_channel(
-    signal: TimeSignal,
+    x: np.ndarray,
     cir: TimeVaryingCir,
     snr_db: float,
     seed: "int | np.random.SeedSequence",
     config: FrameConfig,
-) -> TimeSignal:
-    """Physical channel path: per-sample convolution across the CP-extended
-    frame, then AWGN.
+) -> np.ndarray:
+    """Physical channel path: per-sample convolution across the sequential
+    CP-extended frame, then AWGN.
 
     Kept separate from the matrix model as an independent validation route;
     after CP removal the two agree exactly for static channels.
     """
-    x = signal.validate(config)
-    if not signal.has_cp:
-        raise ValueError("physical channel path expects the CP-extended signal")
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (config.frame_size_with_cp,):
+        raise ValueError("physical channel path expects the CP-extended frame")
     if cir.gains.shape[1] != x.size:
         raise ValueError("channel realization does not match the frame config")
     y = np.zeros_like(x)
@@ -235,7 +252,7 @@ def apply_channel(
     if var > 0.0:
         rng = np.random.default_rng(seed)
         y = y + awgn(y.shape, var, rng)
-    return TimeSignal(y, has_cp=True)
+    return y
 
 
 def build_equivalent_channel(
@@ -273,9 +290,9 @@ def build_equivalent_channel(
         for c in range(n):
             e = np.zeros(n, dtype=np.complex128)
             e[c] = 1.0
-            tx = otfs_modulate(DelayDopplerGrid.from_vector(e, config), config)
-            y = h_tl @ cp_remove(tx, config).data
-            h_eq[:, c] = otfs_demodulate(TimeSignal(y), config).to_vector()
+            tx = otfs_modulate(e.reshape(n_sub, n_dop).T, config)
+            y = h_tl @ cp_remove(tx, config).ravel()
+            h_eq[:, c] = otfs_demodulate(y.reshape(n_dop, n_sub)).ravel(order="F")
         return h_eq
     raise ValueError(f"unknown mode: {mode!r}")
 
@@ -283,7 +300,7 @@ def build_equivalent_channel(
 def extract_cfr(h_tl: np.ndarray, config: FrameConfig) -> np.ndarray:
     """Per-symbol channel frequency response from the time-domain matrix.
 
-    Column ``n`` is the diagonal of the symbol's circularized block after
+    Row ``n`` is the diagonal of the symbol's circularized block after
     DFT conjugation, which reduces to the DFT of the block's time-averaged
     impulse response.
     """
@@ -303,7 +320,7 @@ def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.nd
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
     Entry ``[n]`` is the DFT conjugation ``F H_n F^H`` of symbol ``n``'s
-    circular block; its diagonal equals column ``n`` of the extracted
+    circular block; its diagonal equals row ``n`` of the extracted
     frequency response, its off-diagonals are the intercarrier coupling a
     single-tap equalizer ignores.
     """

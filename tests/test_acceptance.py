@@ -21,6 +21,7 @@ from oracles import (
     band_support,
     build_equivalent_channel,
     build_time_channel_matrix,
+    cp_add,
     dde_build,
     dde_equalize,
     dsft_forward,
@@ -29,15 +30,11 @@ from oracles import (
     reorder_indices,
 )
 from otfslink import (
-    DelayDopplerGrid,
     FrameConfig,
     TapProfile,
-    TimeSignal,
     apply_time_channel,
     cfr_from_cir,
-    cp_remove,
     dsft_inverse,
-    fde_apply,
     fde_build,
     generate_cir,
     harness,
@@ -149,11 +146,13 @@ def test_criterion_3_static_channels_equalize_exactly():
             cir = generate_cir(profile, 0.0, frame, int(rng.integers(2**31)))
 
             bits = random_bits(frame.bits_per_frame, rng)
-            x = cp_remove(otfs_modulate_fast(qpsk_map(bits, frame), frame), frame)
-            y = apply_time_channel(cir, x.data, frame)
+            # OTFS payload placement: symbol i at Doppler i % N, delay i // N
+            symbols = qpsk_map(bits, frame)
+            x_dd = symbols.reshape(frame.n_subcarriers, frame.n_doppler_bins).T
+            y = apply_time_channel(cir, otfs_modulate_fast(x_dd), frame)
             coeffs = fde_build(cfr_from_cir(cir, frame), 0.0, mode="mmse")
-            grid = dsft_inverse(fde_apply(coeffs, tf_stage(TimeSignal(y), frame)), frame)
-            hat, _ = qpsk_slice(grid.to_vector())
+            grid = dsft_inverse(coeffs * tf_stage(y))
+            hat, _ = qpsk_slice(grid.T)
             total_errors += int(np.count_nonzero(hat != bits))
             total_bits += bits.size
         info["detail"] = f"{total_errors} errors in {total_bits} bits, 100 frames"
@@ -196,7 +195,7 @@ def test_criterion_5_genie_cancellation_identity():
         cir = quiet_cir(harness.desk_preset().profile, 1280.0, frame, seed=5)
         h_eq = build_equivalent_channel(build_time_channel_matrix(cir, frame), frame)
         bits = random_bits(frame.bits_per_frame, np.random.default_rng(5))
-        x = qpsk_map(bits, frame).to_vector()
+        x = qpsk_map(bits, frame)
         y = h_eq @ x
 
         cancel = dde_build(h_eq, clip_threshold=0.0)
@@ -305,25 +304,20 @@ def test_criterion_8_transform_suite():
 
             for seed in range(5):
                 rng = np.random.default_rng((n, seed))
-                grid = DelayDopplerGrid(
+                grid = (
                     rng.standard_normal((n_dop, n_sub))
                     + 1j * rng.standard_normal((n_dop, n_sub))
                 )
-                tf = dsft_forward(grid, config)
-                assert abs(
-                    np.linalg.norm(tf.data) - np.linalg.norm(grid.data)
-                ) < tol
+                tf = dsft_forward(grid)
+                assert abs(np.linalg.norm(tf) - np.linalg.norm(grid)) < tol
 
-                fast = otfs_modulate_fast(grid, config)
+                fast = otfs_modulate_fast(grid)
                 full = otfs_modulate(grid, config)
-                assert np.abs(fast.data - full.data).max() < tol
-                assert (
-                    abs(np.linalg.norm(cp_remove(fast, config).data)
-                        - np.linalg.norm(grid.data)) < tol
-                )
+                assert np.abs(cp_add(fast, config) - full).max() < tol
+                assert abs(np.linalg.norm(fast) - np.linalg.norm(grid)) < tol
 
-                back = otfs_demodulate(fast, config)
-                assert np.abs(back.data - grid.data).max() < tol
+                back = otfs_demodulate(fast)
+                assert np.abs(back - grid).max() < tol
         elapsed = time.perf_counter() - start
         info["detail"] = f"{len(REFERENCE_GRIDS)} grids, {elapsed:.2f} s"
         assert elapsed < 10.0

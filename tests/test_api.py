@@ -10,23 +10,17 @@ import otfslink
 
 RUNTIME_NAMES = [
     "BerRecord",
-    "DelayDopplerGrid",
     "EQUALIZER_NAMES",
     "ExperimentConfig",
     "FrameConfig",
     "TapProfile",
-    "TimeFrequencyGrid",
-    "TimeSignal",
     "TimeVaryingCir",
     "apply_time_channel",
     "cfr_from_cir",
     "cir_from_gains",
-    "cp_add",
-    "cp_remove",
     "desk_preset",
     "dsft_inverse",
     "emit_csv",
-    "fde_apply",
     "fde_build",
     "fixed_cir",
     "generate_cir",

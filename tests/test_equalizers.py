@@ -20,16 +20,11 @@ from oracles import (
     full_mmse,
 )
 from otfslink import (
-    DelayDopplerGrid,
     FrameConfig,
     TapProfile,
-    TimeFrequencyGrid,
-    TimeSignal,
     apply_time_channel,
     cfr_from_cir,
-    cp_remove,
     dsft_inverse,
-    fde_apply,
     fde_build,
     fixed_cir,
     generate_cir,
@@ -106,45 +101,42 @@ class TestFdeBuild:
 
 
 class TestFdeApply:
+    # the gains multiply the time-frequency grid entry by entry
     def test_unit_gains_passthrough(self):
-        grid = TimeFrequencyGrid(np.arange(8, dtype=complex).reshape(4, 2))
+        grid = np.arange(8, dtype=complex).reshape(4, 2)
         coeffs = fde_build(np.ones((4, 2), dtype=complex), 0.0)
-        assert_allclose(fde_apply(coeffs, grid).data, grid.data, atol=0)
+        assert_allclose(coeffs * grid, grid, atol=0)
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
         cfr = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         coeffs = fde_build(cfr, 0.1)
-        y = TimeFrequencyGrid(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        scaled = fde_apply(coeffs, TimeFrequencyGrid(3.0 * y.data))
-        assert_allclose(scaled.data, 3.0 * fde_apply(coeffs, y).data, atol=1e-12)
+        y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        assert_allclose(coeffs * (3.0 * y), 3.0 * (coeffs * y), atol=1e-12)
 
     def test_static_unit_magnitude_channel_inverted(self):
         # phase-only channel: the magnitude-mode FDE restores the grid exactly
-        config = FrameConfig(8, 2, max_delay_taps=1, cp_len=0)
         rng = np.random.default_rng(13)
-        tf = TimeFrequencyGrid(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+        tf = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
         cfr = np.exp(1j * rng.uniform(0, 2 * np.pi, (8, 2)))
         coeffs = fde_build(cfr, 0.0, mode="magnitude")
-        equalized = fde_apply(coeffs, TimeFrequencyGrid(cfr * tf.data))
-        assert_allclose(equalized.data, tf.data, atol=1e-12)
+        assert_allclose(coeffs * (cfr * tf), tf, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         coeffs = fde_build(np.ones((4, 2), dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            fde_apply(coeffs, TimeFrequencyGrid(np.ones((2, 4), dtype=complex)))
+            coeffs * np.ones((2, 4), dtype=complex)
 
 
 class TestFdeToDd:
     def test_noiseless_static_chain_recovers_grid(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=19)
         rng = np.random.default_rng(19)
-        grid = DelayDopplerGrid(rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
-        x = cp_remove(otfs_modulate_fast(grid, TOY), TOY).data
-        y_tf = tf_stage(TimeSignal(apply_time_channel(cir, x, TOY)), TOY)
+        grid = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        y_tf = tf_stage(apply_time_channel(cir, otfs_modulate_fast(grid), TOY))
         coeffs = fde_build(cfr_from_cir(cir, TOY), 0.0, mode="mmse")
-        recovered = dsft_inverse(fde_apply(coeffs, y_tf), TOY)
-        assert np.max(np.abs(recovered.data - grid.data)) < 1e-10
+        recovered = dsft_inverse(coeffs * y_tf)
+        assert np.max(np.abs(recovered - grid)) < 1e-10
 
 
 class TestDdeBuild:
@@ -210,7 +202,7 @@ class TestDdeEqualize:
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=43)
         h_eq = build_equivalent_channel(build_time_channel_matrix(cir, TOY), TOY)
         bits = random_bits(TOY.bits_per_frame, np.random.default_rng(43))
-        x = qpsk_map(bits, TOY).to_vector()
+        x = qpsk_map(bits, TOY)
         y = h_eq @ x
         cancel = dde_build(h_eq, clip_threshold=0.0)
 
@@ -227,7 +219,7 @@ class TestDdeEqualize:
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=47)
         h_eq = build_equivalent_channel(build_time_channel_matrix(cir, TOY), TOY)
         bits = random_bits(TOY.bits_per_frame, np.random.default_rng(47))
-        x = qpsk_map(bits, TOY).to_vector()
+        x = qpsk_map(bits, TOY)
         y = h_eq @ x
         cancel = dde_build(h_eq, clip_threshold=0.0)
         jitter = x * 1.7 + 0.05 * (1 + 1j)  # same quadrants, different values
@@ -256,11 +248,10 @@ class TestOfdmSingleTap:
     def test_static_noiseless_recovers_bits(self, mode):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=59)
         bits = random_bits(TOY.bits_per_frame, np.random.default_rng(59))
-        x_tf = TimeFrequencyGrid.from_vector(qpsk_map(bits, TOY).to_vector(), TOY)
-        x = cp_remove(ofdm_modulate(x_tf, TOY), TOY).data
-        y_tf = tf_stage(TimeSignal(apply_time_channel(cir, x, TOY)), TOY)
+        x_tf = qpsk_map(bits, TOY).reshape(TOY.n_doppler_bins, TOY.n_subcarriers)
+        y_tf = tf_stage(apply_time_channel(cir, ofdm_modulate(x_tf), TOY))
         gains = fde_build(cfr_from_cir(cir, TOY), 0.0, mode=mode)
-        hat, _ = qpsk_slice(fde_apply(gains, y_tf).to_vector())
+        hat, _ = qpsk_slice(gains * y_tf)
         assert_array_equal(hat, bits)
 
     def test_awgn_ber_matches_q_function(self):
@@ -275,11 +266,10 @@ class TestOfdmSingleTap:
         total = 0
         while total < 1_000_000:
             bits = random_bits(config.bits_per_frame, rng)
-            x_tf = TimeFrequencyGrid.from_vector(qpsk_map(bits, config).to_vector(), config)
-            x = cp_remove(ofdm_modulate(x_tf, config), config).data
-            y = apply_time_channel(cir, x, config) + awgn(x.size, var, rng)
-            equalized = fde_apply(fde_build(cfr, var), tf_stage(TimeSignal(y), config))
-            hat, _ = qpsk_slice(equalized.to_vector())
+            shape = (config.n_doppler_bins, config.n_subcarriers)
+            x = ofdm_modulate(qpsk_map(bits, config).reshape(shape))
+            y = apply_time_channel(cir, x, config) + awgn(shape, var, rng)
+            hat, _ = qpsk_slice(fde_build(cfr, var) * tf_stage(y))
             errors += int(np.count_nonzero(hat != bits))
             total += bits.size
         ber = errors / total

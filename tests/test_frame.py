@@ -1,4 +1,4 @@
-"""Frame geometry, grid vectorization, and QPSK mapping."""
+"""Frame geometry and QPSK mapping."""
 
 from __future__ import annotations
 
@@ -10,14 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfslink import (
-    DelayDopplerGrid,
-    FrameConfig,
-    TimeFrequencyGrid,
-    TimeSignal,
-    qpsk_map,
-    qpsk_slice,
-)
+from otfslink import FrameConfig, qpsk_map, qpsk_slice
 from otfslink.frame import random_bits
 
 ROOT2 = np.sqrt(2.0)
@@ -49,6 +42,10 @@ class TestFrameConfig:
             dict(n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=1),
             dict(n_subcarriers=8, n_doppler_bins=4, sample_rate=0.0),
             dict(n_subcarriers=8, n_doppler_bins=4, carrier_freq=-1.0),
+            dict(n_subcarriers=8, n_doppler_bins=4, sample_rate=float("nan")),
+            dict(n_subcarriers=8, n_doppler_bins=4, sample_rate=float("inf")),
+            dict(n_subcarriers=8, n_doppler_bins=4, carrier_freq=float("nan")),
+            dict(n_subcarriers=8, n_doppler_bins=4, carrier_freq=float("inf")),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -59,96 +56,27 @@ class TestFrameConfig:
         FrameConfig(8, 4, max_delay_taps=3, cp_len=7)
 
 
-class TestVectorization:
-    def test_column_major_order(self):
-        # [[a, b], [c, d]] vectorizes to [a, c, b, d]
-        config = FrameConfig(2, 2, cp_len=0)
-        grid = DelayDopplerGrid(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
-        assert_array_equal(grid.to_vector(), [1.0, 3.0, 2.0, 4.0])
-        back = DelayDopplerGrid.from_vector(grid.to_vector(), config)
-        assert_array_equal(back.data, grid.data)
-
-    def test_element_position(self):
-        config = FrameConfig(8, 4)
-        grid = DelayDopplerGrid.zeros(config)
-        grid.data[3, 5] = 7.0  # row r, column c sits at index c * n_rows + r
-        assert grid.to_vector()[5 * 4 + 3] == 7.0
-
-        tf = TimeFrequencyGrid(np.zeros((8, 4), dtype=complex))
-        tf.data[3, 2] = 9.0
-        assert tf.to_vector()[2 * 8 + 3] == 9.0
-
-    @pytest.mark.parametrize("cls", [DelayDopplerGrid, TimeFrequencyGrid])
-    def test_round_trip_random(self, cls):
-        config = FrameConfig(8, 4)
-        rng = np.random.default_rng(11)
-        vec = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert_array_equal(cls.from_vector(vec, config).to_vector(), vec)
-
-    def test_wrong_length_rejected(self):
-        config = FrameConfig(4, 2)
-        with pytest.raises(ValueError):
-            DelayDopplerGrid.from_vector(np.zeros(7, dtype=complex), config)
-        with pytest.raises(ValueError):
-            TimeFrequencyGrid.from_vector(np.zeros(7, dtype=complex), config)
-
-    def test_validate_checks_shape(self):
-        config = FrameConfig(4, 2)
-        with pytest.raises(ValueError):
-            DelayDopplerGrid(np.zeros((4, 2), dtype=complex)).validate(config)
-        DelayDopplerGrid(np.zeros((2, 4), dtype=complex)).validate(config)
-
-    @given(
-        rows=st.integers(min_value=1, max_value=6),
-        cols=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_round_trip_property(self, rows, cols, seed):
-        config = FrameConfig(cols, rows)
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(rows * cols) * 1j + rng.standard_normal(rows * cols)
-        grid = DelayDopplerGrid.from_vector(vec, config)
-        assert_array_equal(grid.to_vector(), vec)
-        assert grid.data.shape == (rows, cols)
-
-
-class TestTimeSignal:
-    def test_lengths(self):
-        config = FrameConfig(4, 2, max_delay_taps=2, cp_len=2)
-        TimeSignal(np.zeros(8)).validate(config)
-        TimeSignal(np.zeros(12), has_cp=True).validate(config)
-        with pytest.raises(ValueError):
-            TimeSignal(np.zeros(8), has_cp=True).validate(config)
-        with pytest.raises(ValueError):
-            TimeSignal(np.zeros(12)).validate(config)
-
-    def test_coerces_to_complex_vector(self):
-        sig = TimeSignal(np.ones((2, 3)))
-        assert sig.data.shape == (6,)
-        assert sig.data.dtype == np.complex128
-
-
 class TestQpskMap:
     def test_constellation_points(self):
         config = FrameConfig(2, 1)
-        grid = qpsk_map(np.array([0, 0, 1, 1]), config)
-        assert_allclose(grid.to_vector(), [(1 + 1j) / ROOT2, (-1 - 1j) / ROOT2])
+        symbols = qpsk_map(np.array([0, 0, 1, 1]), config)
+        assert_allclose(symbols, [(1 + 1j) / ROOT2, (-1 - 1j) / ROOT2])
 
     def test_all_four_points_unit_energy(self):
         config = FrameConfig(4, 1)
         bits = np.array([0, 0, 0, 1, 1, 0, 1, 1])
-        symbols = qpsk_map(bits, config).to_vector()
+        symbols = qpsk_map(bits, config)
         assert_allclose(np.abs(symbols), 1.0, atol=1e-12)
         assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_fill_follows_vectorization_order(self):
         config = FrameConfig(2, 2)
         bits = np.array([0, 0, 0, 1, 1, 0, 1, 1])
-        grid = qpsk_map(bits, config)
+        symbols = qpsk_map(bits, config)
         expected = np.array(
             [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=complex
         ) / ROOT2
-        assert_allclose(grid.to_vector(), expected)
+        assert_allclose(symbols, expected)
 
     def test_rejects_bad_bits(self):
         config = FrameConfig(2, 1)
@@ -183,7 +111,7 @@ class TestQpskSlice:
         config = FrameConfig(4, 2)
         rng = np.random.default_rng(3)
         bits = random_bits(config.bits_per_frame, rng)
-        symbols = qpsk_map(bits, config).to_vector()
+        symbols = qpsk_map(bits, config)
         sliced_bits, decided = qpsk_slice(symbols)
         assert_array_equal(sliced_bits, bits)
         assert_allclose(decided, symbols, atol=1e-15)
@@ -194,7 +122,7 @@ class TestQpskSlice:
             config = FrameConfig(n_symbols, 1)
             for pattern in itertools.product((0, 1), repeat=2 * n_symbols):
                 bits = np.array(pattern)
-                recovered, _ = qpsk_slice(qpsk_map(bits, config).to_vector())
+                recovered, _ = qpsk_slice(qpsk_map(bits, config))
                 assert_array_equal(recovered, bits)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -202,7 +130,7 @@ class TestQpskSlice:
         config = FrameConfig(8, 4)
         rng = np.random.default_rng(seed)
         bits = random_bits(config.bits_per_frame, rng)
-        recovered, _ = qpsk_slice(qpsk_map(bits, config).to_vector())
+        recovered, _ = qpsk_slice(qpsk_map(bits, config))
         assert_array_equal(recovered, bits)
 
     @given(

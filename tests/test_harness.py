@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import build_equivalent_channel, build_time_channel_matrix
-from otfslink import FrameConfig, TapProfile, generate_cir, single_tap_profile
+from otfslink import FrameConfig, TapProfile, fixed_cir, generate_cir, single_tap_profile
 from otfslink import harness
 from otfslink.cli import main
 
@@ -59,6 +59,7 @@ class TestExperimentConfig:
             {"doppler_hz_list": (0.0, float("nan"))},
             {"doppler_hz_list": (float("inf"),)},
             {"snr_db_list": (10.0, float("nan"))},
+            {"snr_db_list": (float("-inf"), 0.0)},
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -107,6 +108,36 @@ class TestRunTrial:
         for trial in range(6):
             counts = harness.run_trial(config, float("inf"), 0.0, trial)
             assert counts == {name: 0 for name in harness.EQUALIZER_NAMES}
+
+    def test_payload_placement_on_both_links(self, monkeypatch):
+        # payload symbol i enters the OTFS grid at Doppler row i % N, delay
+        # column i // N, and the OFDM grid at symbol row i // M, subcarrier
+        # column i % M; error-free counts show both links read it back in
+        # that order
+        captured = {}
+
+        def capture(name, keep_result):
+            func = getattr(harness, name)
+
+            def wrapped(*args):
+                out = func(*args)
+                captured[name] = out if keep_result else args[0]
+                return out
+
+            monkeypatch.setattr(harness, name, wrapped)
+
+        capture("qpsk_map", True)
+        capture("otfs_modulate_fast", False)
+        capture("ofdm_modulate", False)
+        config = toy_config(snr_db_list=(float("inf"),), fde_mode="mmse")
+        counts = harness.run_trial(config, float("inf"), 0.0, 3)
+        assert counts == {name: 0 for name in harness.EQUALIZER_NAMES}
+        n, m = TOY_FRAME.n_doppler_bins, TOY_FRAME.n_subcarriers
+        x_dd, x_tf = captured["otfs_modulate_fast"], captured["ofdm_modulate"]
+        assert x_dd.shape == x_tf.shape == (n, m)
+        for i, symbol in enumerate(captured["qpsk_map"]):
+            assert x_dd[i % n, i // n] == symbol
+            assert x_tf[i // m, i % m] == symbol
 
     def test_error_counts_are_bounded_by_frame_bits(self):
         config = toy_config(doppler_hz_list=(1000.0,), snr_db_list=(0.0,))
@@ -387,6 +418,14 @@ class TestInspectChannel:
         values = np.loadtxt(path, delimiter=",", ndmin=2)
         assert_allclose(values, np.abs(h_eq), rtol=0, atol=1e-12)
 
+    def test_non_fading_grid_is_the_fixed_channel(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        harness.inspect_channel(toy_config(fading=False), 0.0, str(path), seed=5)
+        h_tl = build_time_channel_matrix(fixed_cir(THREE_TAPS, TOY_FRAME), TOY_FRAME)
+        h_eq = build_equivalent_channel(h_tl, TOY_FRAME)
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert_allclose(values, np.abs(h_eq), rtol=0, atol=1e-12)
+
     def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
         config = harness.desk_preset()
         dense_bytes = config.frame.frame_size**2 * np.dtype(np.float64).itemsize
@@ -482,6 +521,8 @@ class TestCli:
             lambda d: d.update(doppler_hz_list=["6000"]),
             lambda d: d.update(clip_threshold="0.1"),
             lambda d: d.update(equalizers="otfs_fde"),
+            lambda d: d["frame"].update(sample_rate=float("nan")),
+            lambda d: d.update(snr_db_list=[float("-inf"), 0.0]),
         ],
     )
     def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):
@@ -523,6 +564,38 @@ class TestCli:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 32
+
+    @pytest.mark.parametrize("doppler", ["nan", "inf"])
+    def test_inspect_channel_rejects_non_finite_doppler(self, tmp_path, capsys, doppler):
+        out = tmp_path / "grid.csv"
+        args = ["inspect-channel", "--preset", "toy", "--doppler", doppler]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "doppler_hz must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inspect_channel_non_fading_grid_ignores_seed(self, tmp_path):
+        path = tmp_path / "config.json"
+        doc = config_document()
+        doc["fading"] = False
+        path.write_text(json.dumps(doc))
+        grids = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"grid{seed}.csv"
+            args = ["inspect-channel", "--config", str(path), "--doppler", "0"]
+            assert main(args + ["--seed", seed, "--out", str(out)]) == 0
+            grids.append(out.read_bytes())
+        assert grids[0] == grids[1]
+
+    def test_inspect_channel_non_fading_rejects_doppler(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        doc = config_document()
+        doc["fading"] = False
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "grid.csv"
+        args = ["inspect-channel", "--config", str(path), "--doppler", "500"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "cannot carry Doppler" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inspect_channel_requires_exactly_one_rate(self, tmp_path, capsys):
         out = str(tmp_path / "grid.csv")

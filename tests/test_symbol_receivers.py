@@ -28,9 +28,8 @@ from otfslink import channel as chan
 from otfslink import equalizers as eq
 from otfslink import harness
 from otfslink.cli import main
-from otfslink.frame import TimeFrequencyGrid, TimeSignal, qpsk_map, random_bits
+from otfslink.frame import qpsk_map, random_bits
 from otfslink.transforms import (
-    cp_remove,
     dsft_inverse,
     ofdm_modulate,
     otfs_demodulate,
@@ -56,23 +55,23 @@ class Link:
             self.cir = chan.generate_cir(config.profile, doppler_hz, frame, 11)
         self.var = chan.noise_variance(SNR_DB)
         self.bits = random_bits(frame.bits_per_frame, rng)
-        x_dd = qpsk_map(self.bits, frame)
-        noise = chan.awgn(frame.frame_size, self.var, rng)
+        symbols = qpsk_map(self.bits, frame)
+        shape = (frame.n_doppler_bins, frame.n_subcarriers)
+        noise = chan.awgn(shape, self.var, rng)
 
-        x_otfs = cp_remove(otfs_modulate_fast(x_dd, frame), frame).data
+        x_otfs = otfs_modulate_fast(symbols.reshape(shape[::-1]).T)
         self.y_otfs = chan.apply_time_channel(self.cir, x_otfs, frame) + noise
-        x_tf = TimeFrequencyGrid.from_vector(x_dd.to_vector(), frame)
-        x_ofdm = cp_remove(ofdm_modulate(x_tf, frame), frame).data
+        x_ofdm = ofdm_modulate(symbols.reshape(shape))
         self.y_ofdm = chan.apply_time_channel(self.cir, x_ofdm, frame) + noise
 
         cfr = chan.cfr_from_cir(self.cir, frame)
         coeffs = eq.fde_build(cfr, self.var, mode="mmse")
-        y_tf = tf_stage(TimeSignal(self.y_otfs), frame)
-        self.stage_one = dsft_inverse(eq.fde_apply(coeffs, y_tf), frame).to_vector()
+        self.stage_one = dsft_inverse(coeffs * tf_stage(self.y_otfs))
 
         self.h_tl = build_time_channel_matrix(self.cir, frame)
         self.h_eq = build_equivalent_channel(self.h_tl, frame)
-        self.y_dd = otfs_demodulate(TimeSignal(self.y_otfs), frame).to_vector()
+        # the dense oracles act on delay-Doppler vectors, index l * N + k
+        self.y_dd = otfs_demodulate(self.y_otfs).ravel(order="F")
 
         self.blocks = chan.symbol_channel_blocks(self.cir, frame)
         self.grams = eq.symbol_grams(self.blocks)
@@ -107,30 +106,25 @@ def test_otfs_full_mmse_matches_dense(link):
     factor = eq.mmse_factor(link.grams, link.var)
     matched = eq.symbol_matched_filter(link.blocks, link.y_otfs)
     oracle = full_mmse(link.h_eq, link.y_dd, link.var)
-    estimate = eq.otfs_full_mmse(factor, matched, link.frame)
-    assert_allclose(estimate, oracle, rtol=0, atol=1e-10)
+    estimate = eq.otfs_full_mmse(factor, matched)
+    assert_allclose(estimate.ravel(order="F"), oracle, rtol=0, atol=1e-10)
 
 
 def test_ofdm_full_mmse_matches_per_symbol_dense(link):
     frame = link.frame
     mats = symbol_frequency_matrices(link.cir, frame)
-    y_tf = tf_stage(TimeSignal(link.y_ofdm), frame).data
-    oracle = np.empty((frame.n_subcarriers, frame.n_doppler_bins), dtype=complex)
+    y_tf = tf_stage(link.y_ofdm)
+    oracle = np.empty((frame.n_doppler_bins, frame.n_subcarriers), dtype=complex)
     for n in range(frame.n_doppler_bins):
-        oracle[:, n] = full_mmse(mats[n], y_tf[:, n], link.var)
+        oracle[n] = full_mmse(mats[n], y_tf[n], link.var)
     factor = eq.mmse_factor(link.grams, link.var)
     matched = eq.symbol_matched_filter(link.blocks, link.y_ofdm)
-    assert_allclose(
-        eq.ofdm_full_mmse(factor, matched),
-        TimeFrequencyGrid(oracle).to_vector(),
-        rtol=0,
-        atol=1e-10,
-    )
+    assert_allclose(eq.ofdm_full_mmse(factor, matched), oracle, rtol=0, atol=1e-10)
 
 
 def test_matched_filter_matches_dense(link):
     matched = eq.symbol_matched_filter(link.blocks, link.y_otfs)
-    matched_dd = otfs_demodulate(TimeSignal(matched.ravel()), link.frame).to_vector()
+    matched_dd = otfs_demodulate(matched).ravel(order="F")
     assert_allclose(matched_dd, link.h_eq.conj().T @ link.y_dd, rtol=0, atol=1e-10)
 
 
@@ -141,7 +135,8 @@ def test_doppler_coupling_of_blocks_is_the_equivalent_channel(link):
 
 def test_circulant_gram_matches_dense(link):
     cancel = eq.dde_build_circulant(link.grams, clip_threshold=0.0)
-    gram = expand_circulant(cancel.coupling) + np.diag(cancel.diag)
+    diag = np.repeat(cancel.diag, link.frame.n_doppler_bins)
+    gram = expand_circulant(cancel.coupling) + np.diag(diag)
     assert_allclose(gram, link.h_eq.conj().T @ link.h_eq, rtol=0, atol=1e-10)
 
 
@@ -156,8 +151,11 @@ def test_circulant_cancellation_matches_dense(link, clip):
     # the same clipping rule on the exactly block-circulant Gram gives the
     # same matrix, zero for zero
     full = eq.dde_build_circulant(link.grams, 0.0)
+    n_dop = link.frame.n_doppler_bins
     exact = dde_build(
-        link.h_eq, clip, gram=expand_circulant(full.coupling) + np.diag(full.diag)
+        link.h_eq,
+        clip,
+        gram=expand_circulant(full.coupling) + np.diag(np.repeat(full.diag, n_dop)),
     )
     assert_array_equal(r_bar == 0, exact.r_bar == 0)
     assert_array_equal(r_bar, exact.r_bar)
@@ -176,22 +174,23 @@ def test_circulant_cancellation_matches_dense(link, clip):
     if 0.0 < clip < 1.0:
         assert not differs.any()
     assert_allclose(r_bar[~differs], dense.r_bar[~differs], rtol=0, atol=1e-10)
-    assert_allclose(cancel.diag, dense.diag, rtol=0, atol=1e-10)
+    assert_allclose(np.repeat(cancel.diag, n_dop), dense.diag, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("clip", CLIPS[:3])
 def test_circulant_equalize_matches_dense(link, clip):
     cancel = eq.dde_build_circulant(link.grams, clip)
     matched = eq.symbol_matched_filter(link.blocks, link.y_otfs)
-    matched_dd = otfs_demodulate(TimeSignal(matched.ravel()), link.frame).to_vector()
+    matched_dd = otfs_demodulate(matched)
     dense = dde_build(link.h_eq, clip)
 
     first = eq.dde_equalize_circulant(matched_dd, link.stage_one, cancel)
-    oracle = dde_equalize(link.y_dd, link.stage_one, link.h_eq, dense)
-    assert_allclose(first, oracle, rtol=0, atol=1e-10)
+    stage_one = link.stage_one.ravel(order="F")
+    oracle = dde_equalize(link.y_dd, stage_one, link.h_eq, dense)
+    assert_allclose(first.ravel(order="F"), oracle, rtol=0, atol=1e-10)
     second = eq.dde_equalize_circulant(matched_dd, first, cancel)
     oracle = dde_equalize(link.y_dd, oracle, link.h_eq, dense)
-    assert_allclose(second, oracle, rtol=0, atol=1e-10)
+    assert_allclose(second.ravel(order="F"), oracle, rtol=0, atol=1e-10)
 
 
 def test_circulant_kernels_reject_bad_arguments():
