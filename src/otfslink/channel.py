@@ -1,8 +1,9 @@
 """Time-varying multipath channel: fading generation and its per-symbol model.
 
 A channel realization is a tapped delay line: the profile's tap delays and
-one complex gain process per tap, sampled at the physical sample times of
-the CP-extended frame.  Each OFDM symbol carries its own cyclic prefix, so
+one complex gain process per tap, sampled at the frame's post-CP sample
+times and stored in the frame layout, ``(taps, n_doppler_bins,
+n_subcarriers)``.  Each OFDM symbol carries its own cyclic prefix, so
 after CP removal the time-domain channel is block diagonal, one circular
 ``n_subcarriers``-square block per symbol.  For static channels this model
 reproduces the physical convolution exactly; with Doppler the two differ
@@ -12,9 +13,10 @@ only through tap variation across the CP samples.
 frame tap by tap, ``cfr_from_cir`` gives the single-tap equalizers their
 frequency response in the same layout, one row per symbol, and
 ``symbol_channel_blocks`` returns the ``(n_doppler_bins, n_subcarriers,
-n_subcarriers)`` block stack.  The delay-Doppler channel built from such a
-stack is circulant over Doppler; ``doppler_coupling`` gives its entries.
-No ``frame_size``-square matrix is formed here.
+n_subcarriers)`` block stack; each reads the frame size from the
+realization.  The delay-Doppler channel built from such a stack is
+circulant over Doppler; ``doppler_coupling`` gives its entries.  No
+``frame_size``-square matrix is formed here.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ class TapProfile:
             raise ValueError("tap delays must be non-negative")
         if len(set(self.delays)) != len(self.delays):
             raise ValueError("tap delays must be distinct")
-        if any(p <= 0 for p in self.powers):
-            raise ValueError("tap powers must be positive")
+        if not all(0 < p < np.inf for p in self.powers):
+            raise ValueError("tap powers must be positive and finite")
         total = float(sum(self.powers))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"tap powers must sum to 1, got {total}")
 
     @property
@@ -84,8 +86,10 @@ class TapProfile:
         sample_rate: float,
     ) -> "TapProfile":
         """Round physical delays to the nearest sample and renormalize."""
-        delays = [round(d * 1e-6 * sample_rate) for d in delays_us]
-        return cls.from_powers_db(delays, list(powers_db))
+        samples = [d * 1e-6 * sample_rate for d in delays_us]
+        if not all(abs(s) < np.inf for s in samples):
+            raise ValueError(f"tap delays must be finite in samples, got {samples}")
+        return cls.from_powers_db([round(s) for s in samples], list(powers_db))
 
 
 def tu6_profile(sample_rate: float) -> TapProfile:
@@ -101,26 +105,15 @@ def single_tap_profile() -> TapProfile:
 class TimeVaryingCir:
     """One channel realization: the taps of a tapped delay line.
 
-    ``delays`` are the tap delays in samples, ascending.  Row ``k`` of
-    ``gains`` is the gain of tap ``delays[k]`` at every physical sample of
-    the CP-extended frame, shape ``(len(delays), frame_size_with_cp)``.
+    ``delays`` are the tap delays in samples, ascending.  ``gains`` has
+    shape ``(len(delays), n_doppler_bins, n_subcarriers)``: ``gains[k, n,
+    s]`` is the gain of tap ``delays[k]`` at sample ``s`` of symbol ``n``
+    after CP removal, physical sample ``n * (n_subcarriers + cp_len) +
+    cp_len + s`` of the CP-extended frame.
     """
 
     delays: tuple[int, ...]
     gains: np.ndarray
-    doppler_hz: float
-
-    def frame_gains(self, config: FrameConfig) -> np.ndarray:
-        """Tap gains at the post-CP-removal sample times, shape
-        ``(len(delays), n_doppler_bins, n_subcarriers)``: a view of
-        ``gains`` without each symbol's prefix samples."""
-        if self.gains.shape[1] != config.frame_size_with_cp or any(
-            d >= config.max_delay_taps for d in self.delays
-        ):
-            raise ValueError("channel realization does not match the frame config")
-        stride = config.n_subcarriers + config.cp_len
-        per_symbol = self.gains.reshape(len(self.delays), config.n_doppler_bins, stride)
-        return per_symbol[:, :, config.cp_len :]
 
 
 def _check_profile_fits(profile: TapProfile, config: FrameConfig) -> None:
@@ -142,8 +135,9 @@ def generate_cir(
     Each tap is an independently seeded sum of ``N_SINUSOIDS`` complex
     sinusoids with uniform arrival angles and phases, giving the classic
     isotropic-scattering autocorrelation ``J0(2*pi*doppler_hz*tau)`` and
-    the profile's mean tap powers.  ``doppler_hz = 0`` collapses every tap
-    to a random complex constant.
+    the profile's mean tap powers.  The sinusoids are evaluated only at the
+    post-CP sample times, in the frame layout of :class:`TimeVaryingCir`.
+    ``doppler_hz = 0`` collapses every tap to a random complex constant.
     """
     if not 0 <= doppler_hz < np.inf:
         raise ValueError("doppler_hz must be finite and non-negative")
@@ -160,44 +154,35 @@ def generate_cir(
 
     # taps are stored by ascending delay; tap k keeps the k-th seed stream
     order = sorted(range(len(profile.delays)), key=profile.delays.__getitem__)
-    times = np.arange(config.frame_size_with_cp) / config.sample_rate
-    gains = np.empty((len(order), times.size), dtype=np.complex128)
-    for row, k in zip(gains, order):
+    n_sub, cp = config.n_subcarriers, config.cp_len
+    symbol_starts = np.arange(config.n_doppler_bins)[:, None] * (n_sub + cp) + cp
+    times = (symbol_starts + np.arange(n_sub)) / config.sample_rate
+    gains = np.empty((len(order), *times.shape), dtype=np.complex128)
+    for tap, k in zip(gains, order):
         rng = np.random.default_rng(tap_seeds[k])
         angles = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
         phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
         rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
-        phasors = np.exp(1j * (np.outer(rates, times) + phases[:, None]))
-        row[:] = np.sqrt(profile.powers[k] / N_SINUSOIDS) * phasors.sum(axis=0)
-    delays = tuple(profile.delays[k] for k in order)
-    return TimeVaryingCir(delays=delays, gains=gains, doppler_hz=float(doppler_hz))
+        phasors = np.exp(1j * (rates[:, None, None] * times + phases[:, None, None]))
+        tap[:] = np.sqrt(profile.powers[k] / N_SINUSOIDS) * phasors.sum(axis=0)
+    return TimeVaryingCir(delays=tuple(profile.delays[k] for k in order), gains=gains)
 
 
-def cir_from_gains(
-    gains: np.ndarray, config: FrameConfig, doppler_hz: float = 0.0
-) -> TimeVaryingCir:
-    """Wrap explicit tap gains as a channel realization.
+def cir_from_gains(gains: np.ndarray, config: FrameConfig) -> TimeVaryingCir:
+    """Wrap constant tap gains as a channel realization.
 
-    ``gains`` is either one constant per tap, shape ``(max_delay_taps,)``,
-    or a full physical-time track, shape
-    ``(max_delay_taps, frame_size_with_cp)``.  Row ``d`` is the tap at delay
-    ``d``; all-zero rows are not stored.
+    ``gains`` holds one constant per delay, shape ``(max_delay_taps,)``;
+    entry ``d`` is the tap at delay ``d``, and zero entries are not stored.
     """
     gains = np.asarray(gains, dtype=np.complex128)
-    n_phys = config.frame_size_with_cp
-    if gains.shape == (config.max_delay_taps,):
-        gains = np.repeat(gains[:, None], n_phys, axis=1)
-    elif gains.shape != (config.max_delay_taps, n_phys):
+    if gains.shape != (config.max_delay_taps,):
         raise ValueError(
-            f"gains must have shape ({config.max_delay_taps},) or "
-            f"({config.max_delay_taps}, {n_phys}), got {gains.shape}"
+            f"gains must have shape ({config.max_delay_taps},), got {gains.shape}"
         )
-    delays = np.flatnonzero(gains.any(axis=1))
-    return TimeVaryingCir(
-        delays=tuple(int(d) for d in delays),
-        gains=gains[delays],
-        doppler_hz=float(doppler_hz),
-    )
+    delays = np.flatnonzero(gains)
+    shape = (delays.size, config.n_doppler_bins, config.n_subcarriers)
+    taps = np.broadcast_to(gains[delays, None, None], shape).copy()
+    return TimeVaryingCir(delays=tuple(int(d) for d in delays), gains=taps)
 
 
 def fixed_cir(profile: TapProfile, config: FrameConfig) -> TimeVaryingCir:
@@ -210,14 +195,17 @@ def fixed_cir(profile: TapProfile, config: FrameConfig) -> TimeVaryingCir:
     return cir_from_gains(gains, config)
 
 
-def apply_time_channel(
-    cir: TimeVaryingCir, x: np.ndarray, config: FrameConfig
-) -> np.ndarray:
+def apply_time_channel(cir: TimeVaryingCir, x: np.ndarray) -> np.ndarray:
     """Pass a time frame (cyclic prefixes removed) through the per-symbol
     channel: in symbol ``n``, output sample ``s`` adds tap ``d`` times input
     sample ``(s - d) mod n_subcarriers``."""
-    y = np.zeros((config.n_doppler_bins, config.n_subcarriers), dtype=np.complex128)
-    for d, g in zip(cir.delays, cir.frame_gains(config)):
+    if x.shape != cir.gains.shape[1:]:
+        raise ValueError(
+            f"time frame of shape {x.shape} does not match the frame "
+            f"{cir.gains.shape[1:]} of the channel realization"
+        )
+    y = np.zeros(x.shape, dtype=np.complex128)
+    for d, g in zip(cir.delays, cir.gains):
         y += g * np.roll(x, d, axis=1)
     return y
 
@@ -239,38 +227,30 @@ def awgn(
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _cfr_from_gains(
-    delays: "tuple[int, ...] | range", gains: np.ndarray, config: FrameConfig
-) -> np.ndarray:
-    """Subcarrier response per symbol from post-CP tap gains of shape
-    ``(len(delays), n_doppler_bins, n_subcarriers)``: DFT of the
-    symbol-averaged impulse response, one row per symbol."""
+def cfr_from_cir(cir: TimeVaryingCir) -> np.ndarray:
+    """Per-symbol channel frequency response, shape ``(n_doppler_bins,
+    n_subcarriers)``: row ``n`` is the diagonal of symbol ``n``'s block
+    conjugated by the DFT, the DFT of the symbol-averaged impulse
+    response."""
     # numpy rounds a mean according to memory layout; a leading-axis mean of
     # a fresh copy always adds each symbol's samples one by one, in time order
-    per_symbol = np.moveaxis(gains, 2, 0).copy().mean(axis=0)
-    padded = np.zeros((config.n_doppler_bins, config.n_subcarriers), dtype=np.complex128)
-    padded[:, list(delays)] = per_symbol.T
+    per_symbol = np.moveaxis(cir.gains, 2, 0).copy().mean(axis=0)
+    padded = np.zeros(cir.gains.shape[1:], dtype=np.complex128)
+    padded[:, list(cir.delays)] = per_symbol.T
     return np.fft.fft(padded, axis=1)
 
 
-def cfr_from_cir(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
-    """Per-symbol channel frequency response, shape ``(n_doppler_bins,
-    n_subcarriers)``: row ``n`` is the diagonal of symbol ``n``'s block
-    conjugated by the DFT."""
-    return _cfr_from_gains(cir.delays, cir.frame_gains(config), config)
-
-
-def symbol_channel_blocks(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
+def symbol_channel_blocks(cir: TimeVaryingCir) -> np.ndarray:
     """Per-symbol time-domain channel blocks, shape
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
     Entry ``[n]`` is symbol ``n``'s circular block: row ``s`` carries tap
     ``d`` at column ``(s - d) mod n_subcarriers``.
     """
-    n_sub = config.n_subcarriers
+    n_dop, n_sub = cir.gains.shape[1:]
     s = np.arange(n_sub)
-    blocks = np.zeros((config.n_doppler_bins, n_sub, n_sub), dtype=np.complex128)
-    for d, g in zip(cir.delays, cir.frame_gains(config)):
+    blocks = np.zeros((n_dop, n_sub, n_sub), dtype=np.complex128)
+    for d, g in zip(cir.delays, cir.gains):
         blocks[:, s, (s - d) % n_sub] = g
     return blocks
 

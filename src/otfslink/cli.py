@@ -70,7 +70,7 @@ def _load_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     else:
         raise _UsageError("provide --config or --preset")
     equalizers = None
-    if getattr(args, "equalizers", None):
+    if getattr(args, "equalizers", None) is not None:
         equalizers = tuple(s.strip() for s in args.equalizers.split(",") if s.strip())
     return harness.with_overrides(
         config,

@@ -149,9 +149,9 @@ def run_trial(
     errors: dict[str, int] = {}
     # one single-tap gain grid serves the OTFS first stage and plain OFDM
     if enabled & {"otfs_fde", "otfs_fde_dde", "ofdm_single_tap"}:
-        fde_gains = eq.fde_build(chan.cfr_from_cir(cir, frame), var, mode=config.fde_mode)
+        fde_gains = eq.fde_build(chan.cfr_from_cir(cir), var, mode=config.fde_mode)
 
-    y_otfs = chan.apply_time_channel(cir, otfs_modulate_fast(x_dd), frame) + noise
+    y_otfs = chan.apply_time_channel(cir, otfs_modulate_fast(x_dd)) + noise
 
     stage_one = None
     if enabled & {"otfs_fde", "otfs_fde_dde"}:
@@ -162,7 +162,7 @@ def run_trial(
     # the per-symbol receivers share one block stack, its Grams and, for
     # both full-MMSE links, one batched factorization
     if enabled & {"otfs_fde_dde", "otfs_full_mmse", "ofdm_full_mmse"}:
-        blocks = chan.symbol_channel_blocks(cir, frame)
+        blocks = chan.symbol_channel_blocks(cir)
         grams = eq.symbol_grams(blocks)
     if enabled & {"otfs_full_mmse", "ofdm_full_mmse"}:
         factor = eq.mmse_factor(grams, var)
@@ -182,7 +182,7 @@ def run_trial(
 
     if enabled & {"ofdm_single_tap", "ofdm_full_mmse"}:
         x_tf = symbols.reshape(shape)
-        y_ofdm = chan.apply_time_channel(cir, ofdm_modulate(x_tf), frame) + noise
+        y_ofdm = chan.apply_time_channel(cir, ofdm_modulate(x_tf)) + noise
         if "ofdm_single_tap" in enabled:
             equalized = fde_gains * tf_stage(y_ofdm)
             errors["ofdm_single_tap"] = _count_errors(equalized, bits)
@@ -388,6 +388,9 @@ def load_experiment_config(source: "str | dict") -> ExperimentConfig:
     unknown = set(frame_raw) - _FRAME_KEYS
     if unknown:
         raise ValueError(f"unknown frame keys: {sorted(unknown)}")
+    missing = {"n_subcarriers", "n_doppler_bins"} - set(frame_raw)
+    if missing:
+        raise ValueError(f"frame needs {', '.join(sorted(missing))}")
     frame = FrameConfig(
         **{
             key: (_json_int if key in _FRAME_COUNTS else _json_number)(value, key)
@@ -530,7 +533,7 @@ def inspect_channel(
     """
     frame = config.frame
     cir = _draw_channel(config, doppler_hz, config.base_seed if seed is None else seed)
-    mags = np.abs(chan.doppler_coupling(chan.symbol_channel_blocks(cir, frame)))
+    mags = np.abs(chan.doppler_coupling(chan.symbol_channel_blocks(cir)))
     k = np.arange(frame.n_doppler_bins)
     shifts = (k[:, None] - k[None, :]) % frame.n_doppler_bins
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

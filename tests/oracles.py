@@ -2,8 +2,8 @@
 
 Nothing here runs in a sweep or the CLI.  These build, the long way, what
 the package computes from the channel's structure: stage-by-stage transform
-chains through the CP-extended sequential time layout and dense
-``frame_size``-square matrices.  Frames are ``(n_doppler_bins,
+chains and the fading draw through the CP-extended sequential time layout,
+and dense ``frame_size``-square matrices.  Frames are ``(n_doppler_bins,
 n_subcarriers)`` arrays as in the package; the dense matrices act on
 delay-Doppler vectors in column-major order (index ``l * n_doppler_bins +
 k`` for delay ``l`` and Doppler ``k``, ``grid.ravel(order="F")``) and on
@@ -18,9 +18,11 @@ import numpy as np
 import scipy.linalg
 
 from otfslink.channel import (
+    N_SINUSOIDS,
+    TapProfile,
     TimeVaryingCir,
-    _cfr_from_gains,
     awgn,
+    cfr_from_cir,
     noise_variance,
     symbol_channel_blocks,
 )
@@ -52,10 +54,6 @@ class ReorderMatrix:
 
     perm: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.perm.size
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Interleaved layout -> sequential sample order."""
         return np.asarray(x)[self.perm]
@@ -67,9 +65,7 @@ class ReorderMatrix:
         return out
 
     def dense(self) -> np.ndarray:
-        mat = np.zeros((self.size, self.size))
-        mat[np.arange(self.size), self.perm] = 1.0
-        return mat
+        return np.eye(self.perm.size)[self.perm]
 
 
 def reorder_indices(config: FrameConfig) -> ReorderMatrix:
@@ -218,22 +214,48 @@ def build_time_channel_matrix(cir: TimeVaryingCir, config: FrameConfig) -> np.nd
     tap ``d`` at column ``(i - d) mod n_subcarriers`` of its own symbol.
     """
     n = config.frame_size
+    if cir.gains.shape[1:] != (config.n_doppler_bins, config.n_subcarriers):
+        raise ValueError("channel realization does not match the frame config")
     h_tl = np.zeros((n, n), dtype=np.complex128)
     rows = np.arange(n)
-    for d, g in zip(cir.delays, cir.frame_gains(config)):
+    for d, g in zip(cir.delays, cir.gains):
         h_tl[rows, _tap_columns(config, d)] = g.ravel()
     return h_tl
 
 
+def physical_gains(
+    profile: TapProfile, doppler_hz: float, config: FrameConfig, seed: int
+) -> np.ndarray:
+    """Tap gains at every physical sample of the CP-extended frame, shape
+    ``(len(profile.delays), frame_size_with_cp)``, rows by ascending delay.
+
+    The sum-of-sinusoids draw of ``generate_cir`` from the same seed
+    streams, evaluated along the sequential time axis; ``generate_cir``
+    keeps the post-CP samples of this track.
+    """
+    tap_seeds = np.random.SeedSequence(seed).spawn(len(profile.delays))
+    times = np.arange(config.frame_size_with_cp) / config.sample_rate
+    track = []
+    for k in sorted(range(len(profile.delays)), key=profile.delays.__getitem__):
+        rng = np.random.default_rng(tap_seeds[k])
+        angles, phases = rng.uniform(0.0, 2.0 * np.pi, (2, N_SINUSOIDS))
+        rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
+        phasors = np.exp(1j * (np.outer(rates, times) + phases[:, None]))
+        track.append(np.sqrt(profile.powers[k] / N_SINUSOIDS) * phasors.sum(axis=0))
+    return np.array(track)
+
+
 def apply_channel(
     x: np.ndarray,
-    cir: TimeVaryingCir,
+    delays: "tuple[int, ...]",
+    track: np.ndarray,
     snr_db: float,
     seed: "int | np.random.SeedSequence",
     config: FrameConfig,
 ) -> np.ndarray:
     """Physical channel path: per-sample convolution across the sequential
-    CP-extended frame, then AWGN.
+    CP-extended frame, then AWGN.  Row ``k`` of ``track`` is the gain of tap
+    ``delays[k]`` at every physical sample, as from :func:`physical_gains`.
 
     Kept separate from the matrix model as an independent validation route;
     after CP removal the two agree exactly for static channels.
@@ -241,10 +263,10 @@ def apply_channel(
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (config.frame_size_with_cp,):
         raise ValueError("physical channel path expects the CP-extended frame")
-    if cir.gains.shape[1] != x.size:
-        raise ValueError("channel realization does not match the frame config")
+    if track.shape != (len(delays), x.size):
+        raise ValueError("tap track does not match the frame config")
     y = np.zeros_like(x)
-    for d, g in zip(cir.delays, cir.gains):
+    for d, g in zip(delays, track):
         shifted = np.zeros_like(x)
         shifted[d:] = x[: x.size - d]
         y += g * shifted
@@ -312,10 +334,10 @@ def extract_cfr(h_tl: np.ndarray, config: FrameConfig) -> np.ndarray:
     delays = range(config.max_delay_taps)
     gains = np.stack([h_tl[rows, _tap_columns(config, d)] for d in delays])
     shape = (len(delays), config.n_doppler_bins, config.n_subcarriers)
-    return _cfr_from_gains(delays, gains.reshape(shape), config)
+    return cfr_from_cir(TimeVaryingCir(tuple(delays), gains.reshape(shape)))
 
 
-def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.ndarray:
+def symbol_frequency_matrices(cir: TimeVaryingCir) -> np.ndarray:
     """Full per-symbol frequency-domain channel matrices, shape
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
@@ -324,7 +346,7 @@ def symbol_frequency_matrices(cir: TimeVaryingCir, config: FrameConfig) -> np.nd
     frequency response, its off-diagonals are the intercarrier coupling a
     single-tap equalizer ignores.
     """
-    freq = np.fft.fft(symbol_channel_blocks(cir, config), axis=1, norm="ortho")
+    freq = np.fft.fft(symbol_channel_blocks(cir), axis=1, norm="ortho")
     return np.fft.ifft(freq, axis=2, norm="ortho")
 
 
@@ -380,7 +402,6 @@ class CancellationMatrix:
 
     r_bar: np.ndarray
     diag: np.ndarray
-    clip_threshold: float
 
 
 def dde_build(
@@ -394,18 +415,14 @@ def dde_build(
     with the full-MMSE equalizer.  ``clip_threshold = 0`` keeps every
     off-diagonal entry; ``1`` keeps only the strongest.
     """
-    _check_clip(clip_threshold)
+    if not 0.0 <= clip_threshold <= 1.0:
+        raise ValueError("clip_threshold must lie in [0, 1]")
     h_eq = np.asarray(h_eq, dtype=np.complex128)
     if gram is None:
         gram = h_eq.conj().T @ h_eq
     diag = np.real(np.diag(gram)).copy()
     r_bar = _clip(gram - np.diag(np.diag(gram)), clip_threshold)
-    return CancellationMatrix(r_bar=r_bar, diag=diag, clip_threshold=float(clip_threshold))
-
-
-def _check_clip(clip_threshold: float) -> None:
-    if not 0.0 <= clip_threshold <= 1.0:
-        raise ValueError("clip_threshold must lie in [0, 1]")
+    return CancellationMatrix(r_bar=r_bar, diag=diag)
 
 
 def dde_equalize(

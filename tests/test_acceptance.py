@@ -149,8 +149,8 @@ def test_criterion_3_static_channels_equalize_exactly():
             # OTFS payload placement: symbol i at Doppler i % N, delay i // N
             symbols = qpsk_map(bits, frame)
             x_dd = symbols.reshape(frame.n_subcarriers, frame.n_doppler_bins).T
-            y = apply_time_channel(cir, otfs_modulate_fast(x_dd), frame)
-            coeffs = fde_build(cfr_from_cir(cir, frame), 0.0, mode="mmse")
+            y = apply_time_channel(cir, otfs_modulate_fast(x_dd))
+            coeffs = fde_build(cfr_from_cir(cir), 0.0, mode="mmse")
             grid = dsft_inverse(coeffs * tf_stage(y))
             hat, _ = qpsk_slice(grid.T)
             total_errors += int(np.count_nonzero(hat != bits))

@@ -18,6 +18,7 @@ from oracles import (
     cp_remove,
     dft_matrix,
     extract_cfr,
+    physical_gains,
     symbol_frequency_matrices,
 )
 from otfslink import (
@@ -33,6 +34,7 @@ from otfslink import (
     single_tap_profile,
     tu6_profile,
 )
+from otfslink import harness
 from otfslink.channel import TU6_DELAYS_US, TU6_POWERS_DB, awgn
 
 TOY = FrameConfig(
@@ -69,6 +71,13 @@ class TestTapProfile:
             TapProfile((0,), (0.9,))
         with pytest.raises(ValueError):
             TapProfile((0, 1), (0.5, -0.5))
+        for bad in (np.nan, np.inf, 1e400):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TapProfile((0,), (bad,))
+            with pytest.raises(ValueError, match="positive and finite"):
+                TapProfile((0, 1), (1.0, bad))
+        with pytest.raises(ValueError, match="positive and finite"):
+            TapProfile.from_powers_db([0], [np.nan])
 
     def test_same_sample_taps_merge_by_power(self):
         p = TapProfile.from_powers_db([0, 0, 4], [0.0, 0.0, 0.0])
@@ -79,6 +88,13 @@ class TestTapProfile:
     def test_from_microseconds_rounds_to_samples(self):
         p = TapProfile.from_microseconds([0.0, 1.6, 2.6], [0.0, 0.0, 0.0], 1e6)
         assert p.delays == (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "delays_us, sample_rate", [([np.inf], 1e6), ([np.nan], 1e6), ([0.0, 1e10], 1e308)]
+    )
+    def test_from_microseconds_rejects_non_finite_sample_delays(self, delays_us, sample_rate):
+        with pytest.raises(ValueError, match="finite in samples"):
+            TapProfile.from_microseconds(delays_us, [0.0] * len(delays_us), sample_rate)
 
     def test_tu6_at_40mhz(self):
         p = tu6_profile(40e6)
@@ -100,17 +116,16 @@ class TestTapProfile:
 class TestGenerateCir:
     def test_zero_doppler_freezes_taps(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=5)
-        for row in cir.gains:
-            assert_allclose(row, row[0], atol=0)
-        assert cir.gains.shape == (3, TOY.frame_size_with_cp)
-        assert cir.frame_gains(TOY).shape == (3, TOY.n_doppler_bins, TOY.n_subcarriers)
+        for tap in cir.gains:
+            assert_allclose(tap, tap[0, 0], atol=0)
+        assert cir.gains.shape == (3, TOY.n_doppler_bins, TOY.n_subcarriers)
 
     def test_unused_tap_rows_are_zero(self):
         config = FrameConfig(8, 4, max_delay_taps=4, cp_len=3, sample_rate=64e3)
         profile = TapProfile.from_powers_db([0, 2], [0.0, 0.0])
         cir = generate_cir(profile, 0.0, config, seed=5)
         assert cir.delays == (0, 2)
-        assert cir.gains.shape == (2, config.frame_size_with_cp)
+        assert cir.gains.shape == (2, config.n_doppler_bins, config.n_subcarriers)
         assert cir.gains.all()
         # delays 1 and 3 carry no energy anywhere in the matrix model
         h = build_time_channel_matrix(cir, config)
@@ -124,7 +139,9 @@ class TestGenerateCir:
         profile = tu6_profile(config.sample_rate)
         cir = fast_cir(profile, 6000.0, config, seed=3)
         assert cir.delays == profile.delays
-        assert cir.gains.shape == (len(profile.delays), config.frame_size_with_cp)
+        assert cir.gains.shape == (
+            len(profile.delays), config.n_doppler_bins, config.n_subcarriers
+        )
 
     def test_unsorted_profile_is_stored_ascending(self):
         # profile tap k draws from the k-th seed stream whatever its delay,
@@ -141,16 +158,19 @@ class TestGenerateCir:
         assert_array_equal(a.gains, b.gains)
         assert np.any(a.gains != c.gains)
 
-    def test_frame_view_indexes_physical_samples(self):
-        cir = generate_cir(THREE_TAPS, 200.0, TOY, seed=9)
-        view = cir.frame_gains(TOY)
-        m, cp = TOY.n_subcarriers, TOY.cp_len
-        for k in range(len(cir.delays)):
-            for n in range(TOY.n_doppler_bins):
-                for s in range(m):
-                    assert view[k, n, s] == cir.gains[k, n * (m + cp) + cp + s]
-        with pytest.raises(ValueError, match="frame config"):
-            cir.frame_gains(FrameConfig(16, 4, max_delay_taps=3, cp_len=2))
+    @pytest.mark.parametrize("preset", ["toy", "desk", "table2"])
+    @pytest.mark.parametrize("doppler_hz", [0.0, 1280.0, 6000.0])
+    def test_gains_are_the_post_cp_samples_of_the_physical_track(self, preset, doppler_hz):
+        # entry [k, n, s] is physical sample n * (M + cp) + cp + s; a draw at
+        # n * M + s, or one that leaves the prefixes in, fails here
+        config = harness.PRESETS[preset]()
+        frame = config.frame
+        cir = fast_cir(config.profile, doppler_hz, frame, seed=17)
+        track = physical_gains(config.profile, doppler_hz, frame, seed=17)
+        m, cp = frame.n_subcarriers, frame.cp_len
+        per_symbol = track.reshape(len(cir.delays), frame.n_doppler_bins, m + cp)
+        assert cir.delays == tuple(sorted(config.profile.delays))
+        assert_array_equal(cir.gains, per_symbol[:, :, cp:])
 
     def test_rejects_bad_inputs(self):
         for doppler_hz in (-1.0, float("nan"), float("inf")):
@@ -176,7 +196,7 @@ class TestGenerateCir:
         # 0 dB single tap: ensemble-average power is the profile power
         config = FrameConfig(4, 1, sample_rate=64e3)
         powers = [
-            np.abs(generate_cir(single_tap_profile(), 0.0, config, seed=s).gains[0, 0])
+            np.abs(generate_cir(single_tap_profile(), 0.0, config, seed=s).gains[0, 0, 0])
             ** 2
             for s in range(10_000)
         ]
@@ -190,7 +210,7 @@ class TestGenerateCir:
         ref = np.zeros(n_real, dtype=complex)
         lagged = np.zeros((lags.size, n_real), dtype=complex)
         for s in range(n_real):
-            h = generate_cir(single_tap_profile(), doppler, config, seed=s).gains[0]
+            h = generate_cir(single_tap_profile(), doppler, config, seed=s).gains[0].ravel()
             ref[s] = h[0]
             lagged[:, s] = h[lags]
         power = np.mean(np.abs(ref) ** 2)
@@ -204,9 +224,8 @@ class TestFixedCir:
         profile = TapProfile.from_powers_db([0, 2], [0.0, 0.0])
         cir = fixed_cir(profile, TOY)
         assert cir.delays == (0, 2)
-        assert cir.gains.shape == (2, TOY.frame_size_with_cp)
+        assert cir.gains.shape == (2, TOY.n_doppler_bins, TOY.n_subcarriers)
         assert_allclose(cir.gains, np.sqrt(0.5), atol=1e-15)
-        assert cir.doppler_hz == 0.0
 
     def test_single_tap_is_identity_channel(self):
         cir = fixed_cir(single_tap_profile(), TOY)
@@ -216,25 +235,19 @@ class TestFixedCir:
     def test_cir_from_gains_shapes(self):
         gains = np.array([1.0, 0.5, 0.25])
         cir = cir_from_gains(gains, TOY)
-        assert cir.gains.shape == (3, TOY.frame_size_with_cp)
+        assert cir.gains.shape == (3, TOY.n_doppler_bins, TOY.n_subcarriers)
         assert_allclose(cir.gains[1], 0.5, atol=0)
 
-        full = np.ones((3, TOY.frame_size_with_cp), dtype=complex)
-        cir2 = cir_from_gains(full, TOY)
-        assert_array_equal(cir2.gains, 1.0)
-
-        with pytest.raises(ValueError, match="shape"):
-            cir_from_gains(np.ones((2, 5)), TOY)
+        for shape in ((2, 5), (3, TOY.frame_size_with_cp)):
+            with pytest.raises(ValueError, match="shape"):
+                cir_from_gains(np.ones(shape), TOY)
 
     def test_cir_from_gains_drops_zero_rows(self):
         config = FrameConfig(8, 4, max_delay_taps=4, cp_len=3)
-        track = np.zeros((4, config.frame_size_with_cp), dtype=complex)
-        track[1] = np.arange(config.frame_size_with_cp)  # zero at sample 0 only
-        track[3, 5] = 2.0j
-        cir = cir_from_gains(track, config, doppler_hz=50.0)
+        cir = cir_from_gains(np.array([0.0, -1.0, 0.0, 2.0j]), config)
         assert cir.delays == (1, 3)
-        assert_array_equal(cir.gains, track[[1, 3]])
-        assert cir.doppler_hz == 50.0
+        assert_array_equal(cir.gains[0], -1.0)
+        assert_array_equal(cir.gains[1], 2.0j)
         empty = cir_from_gains(np.zeros(4), config)
         assert empty.delays == ()
         assert_array_equal(build_time_channel_matrix(empty, config), 0.0)
@@ -272,12 +285,12 @@ class TestTimeChannelMatrix:
         config = FrameConfig(8, 4, max_delay_taps=6, cp_len=5, sample_rate=64e3)
         profile = TapProfile.from_powers_db([0, 2, 5], [0.0, -1.0, -3.0])
         cir = fast_cir(profile, 1000.0, config, seed=3)
-        m, cp = config.n_subcarriers, config.cp_len
+        m = config.n_subcarriers
         expected = np.zeros((config.frame_size, config.frame_size), dtype=complex)
         for d, g in zip(cir.delays, cir.gains):
             for n in range(config.n_doppler_bins):
                 for s in range(m):
-                    expected[n * m + s, n * m + (s - d) % m] = g[n * (m + cp) + cp + s]
+                    expected[n * m + s, n * m + (s - d) % m] = g[n, s]
         assert_array_equal(build_time_channel_matrix(cir, config), expected)
 
     def test_apply_matches_matrix(self):
@@ -285,38 +298,39 @@ class TestTimeChannelMatrix:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(TOY.frame_size) + 1j * rng.standard_normal(TOY.frame_size)
         h = build_time_channel_matrix(cir, TOY)
-        y = apply_time_channel(cir, x.reshape(TOY.n_doppler_bins, TOY.n_subcarriers), TOY)
+        y = apply_time_channel(cir, x.reshape(TOY.n_doppler_bins, TOY.n_subcarriers))
         assert_allclose(y.ravel(), h @ x, atol=1e-13)
 
     def test_rejects_mismatched_config(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=1)
         other = FrameConfig(16, 4, max_delay_taps=3, cp_len=2)
-        with pytest.raises(ValueError):
-            build_time_channel_matrix(cir, other)
-        # same physical length, but the taps reach past the channel length
-        shorter = FrameConfig(8, 4, max_delay_taps=2, cp_len=2)
         with pytest.raises(ValueError, match="frame config"):
-            apply_time_channel(cir, np.zeros((4, 8)), shorter)
+            build_time_channel_matrix(cir, other)
+        # the kernels read the frame size from the realization
+        for shape in ((4, 16), (8, 4), (32,)):
+            with pytest.raises(ValueError, match="does not match the frame"):
+                apply_time_channel(cir, np.zeros(shape))
 
 
 class TestPhysicalChannel:
     def test_identity_noiseless_passthrough(self):
-        cir = fixed_cir(single_tap_profile(), TOY)
+        track = np.ones((1, TOY.frame_size_with_cp))
         rng = np.random.default_rng(2)
         x = (
             rng.standard_normal(TOY.frame_size_with_cp)
             + 1j * rng.standard_normal(TOY.frame_size_with_cp)
         )
-        y = apply_channel(x, cir, np.inf, seed=0, config=TOY)
+        y = apply_channel(x, (0,), track, np.inf, seed=0, config=TOY)
         assert_array_equal(y, x)
 
     def test_static_matches_matrix_model_after_cp_removal(self):
         profile = TapProfile.from_powers_db([0, 1, 2], [0.0, -2.0, -4.0])
         cir = generate_cir(profile, 0.0, TOY, seed=21)
+        track = physical_gains(profile, 0.0, TOY, seed=21)
         rng = np.random.default_rng(4)
         grid = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
         tx = otfs_modulate_fast(grid)
-        received = apply_channel(cp_add(tx, TOY), cir, np.inf, seed=0, config=TOY)
+        received = apply_channel(cp_add(tx, TOY), cir.delays, track, np.inf, seed=0, config=TOY)
         physical = cp_remove(received, TOY)
         h = build_time_channel_matrix(cir, TOY)
         modeled = h @ tx.ravel()
@@ -324,16 +338,17 @@ class TestPhysicalChannel:
 
     def test_noise_variance_calibrated(self):
         config = FrameConfig(1024, 128, cp_len=0)
-        cir = fixed_cir(single_tap_profile(), config)
         x = np.zeros(config.frame_size_with_cp)
-        y = apply_channel(x, cir, 0.0, seed=42, config=config)
+        y = apply_channel(x, (0,), np.ones((1, x.size)), 0.0, seed=42, config=config)
         measured = np.mean(np.abs(y) ** 2)  # 131072 noise samples
         assert measured == pytest.approx(1.0, rel=0.02)
 
     def test_requires_cp_signal(self):
-        cir = fixed_cir(single_tap_profile(), TOY)
+        track = np.ones((1, TOY.frame_size_with_cp))
         with pytest.raises(ValueError, match="CP"):
-            apply_channel(np.zeros(TOY.frame_size), cir, 10.0, seed=0, config=TOY)
+            apply_channel(np.zeros(TOY.frame_size), (0,), track, 10.0, seed=0, config=TOY)
+        with pytest.raises(ValueError, match="frame config"):
+            apply_channel(np.zeros(track.size), (0,), track[:, 1:], 10.0, seed=0, config=TOY)
 
 
 def test_noise_variance_values():
@@ -399,13 +414,13 @@ class TestCfr:
     def test_static_single_tap_constant(self):
         config = FrameConfig(8, 4, max_delay_taps=1, cp_len=0)
         cir = cir_from_gains(np.array([0.3 - 0.4j]), config)
-        cfr = cfr_from_cir(cir, config)
+        cfr = cfr_from_cir(cir)
         assert_allclose(cfr, 0.3 - 0.4j, atol=1e-14)
 
     def test_static_two_taps_dft_oracle(self):
         config = FrameConfig(8, 2, max_delay_taps=2, cp_len=1)
         cir = cir_from_gains(np.array([1.0, 1.0]), config)
-        cfr = cfr_from_cir(cir, config)
+        cfr = cfr_from_cir(cir)
         k = np.arange(8)
         expected = 1.0 + np.exp(-2j * np.pi * k / 8)
         for n in range(2):
@@ -413,14 +428,14 @@ class TestCfr:
 
     def test_static_columns_identical(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=43)
-        cfr = cfr_from_cir(cir, TOY)
+        cfr = cfr_from_cir(cir)
         for n in range(1, TOY.n_doppler_bins):
             assert_allclose(cfr[n], cfr[0], atol=1e-12)
 
     def test_extract_matches_matrix_free_path(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=47)
         h_tl = build_time_channel_matrix(cir, TOY)
-        assert_allclose(extract_cfr(h_tl, TOY), cfr_from_cir(cir, TOY), atol=1e-12)
+        assert_allclose(extract_cfr(h_tl, TOY), cfr_from_cir(cir), atol=1e-12)
 
     def test_extract_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -431,7 +446,7 @@ class TestSymbolFrequencyMatrices:
     def test_static_matches_dense_conjugation(self):
         config = FrameConfig(8, 2, max_delay_taps=2, cp_len=1)
         cir = cir_from_gains(np.array([1.0, 0.5j]), config)
-        mats = symbol_frequency_matrices(cir, config)
+        mats = symbol_frequency_matrices(cir)
         f = dft_matrix(8)
         b = np.zeros((8, 8), dtype=complex)
         s = np.arange(8)
@@ -443,14 +458,14 @@ class TestSymbolFrequencyMatrices:
 
     def test_diagonal_equals_cfr(self):
         cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=53)
-        mats = symbol_frequency_matrices(cir, TOY)
-        cfr = cfr_from_cir(cir, TOY)
+        mats = symbol_frequency_matrices(cir)
+        cfr = cfr_from_cir(cir)
         for n in range(TOY.n_doppler_bins):
             assert_allclose(np.diag(mats[n]), cfr[n], atol=1e-12)
 
     def test_static_channel_is_diagonal_in_frequency(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=59)
-        mats = symbol_frequency_matrices(cir, TOY)
+        mats = symbol_frequency_matrices(cir)
         for n in range(TOY.n_doppler_bins):
             off = mats[n] - np.diag(np.diag(mats[n]))
             assert np.max(np.abs(off)) < 1e-12

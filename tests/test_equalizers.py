@@ -133,8 +133,8 @@ class TestFdeToDd:
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=19)
         rng = np.random.default_rng(19)
         grid = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        y_tf = tf_stage(apply_time_channel(cir, otfs_modulate_fast(grid), TOY))
-        coeffs = fde_build(cfr_from_cir(cir, TOY), 0.0, mode="mmse")
+        y_tf = tf_stage(apply_time_channel(cir, otfs_modulate_fast(grid)))
+        coeffs = fde_build(cfr_from_cir(cir), 0.0, mode="mmse")
         recovered = dsft_inverse(coeffs * y_tf)
         assert np.max(np.abs(recovered - grid)) < 1e-10
 
@@ -249,8 +249,8 @@ class TestOfdmSingleTap:
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=59)
         bits = random_bits(TOY.bits_per_frame, np.random.default_rng(59))
         x_tf = qpsk_map(bits, TOY).reshape(TOY.n_doppler_bins, TOY.n_subcarriers)
-        y_tf = tf_stage(apply_time_channel(cir, ofdm_modulate(x_tf), TOY))
-        gains = fde_build(cfr_from_cir(cir, TOY), 0.0, mode=mode)
+        y_tf = tf_stage(apply_time_channel(cir, ofdm_modulate(x_tf)))
+        gains = fde_build(cfr_from_cir(cir), 0.0, mode=mode)
         hat, _ = qpsk_slice(gains * y_tf)
         assert_array_equal(hat, bits)
 
@@ -258,7 +258,7 @@ class TestOfdmSingleTap:
         # unit channel, SNR 10 dB, one million bits
         config = FrameConfig(64, 16, max_delay_taps=1, cp_len=0)
         cir = fixed_cir(single_tap_profile(), config)
-        cfr = cfr_from_cir(cir, config)
+        cfr = cfr_from_cir(cir)
         snr_db = 10.0
         var = noise_variance(snr_db)
         rng = np.random.default_rng(61)
@@ -268,7 +268,7 @@ class TestOfdmSingleTap:
             bits = random_bits(config.bits_per_frame, rng)
             shape = (config.n_doppler_bins, config.n_subcarriers)
             x = ofdm_modulate(qpsk_map(bits, config).reshape(shape))
-            y = apply_time_channel(cir, x, config) + awgn(shape, var, rng)
+            y = apply_time_channel(cir, x) + awgn(shape, var, rng)
             hat, _ = qpsk_slice(fde_build(cfr, var) * tf_stage(y))
             errors += int(np.count_nonzero(hat != bits))
             total += bits.size

@@ -336,6 +336,12 @@ class TestLoadExperimentConfig:
             lambda d: d["profile"].update(delays_samples=0),
             lambda d: d["profile"].update(powers_db=0.0),
             lambda d: d["profile"].update(powers_db=["0", "0", "0"]),
+            lambda d: d["frame"].pop("n_subcarriers"),
+            lambda d: d.update(profile={"delays_us": [float("inf")], "powers_db": [0.0]}),
+            lambda d: d.update(profile={"delays_us": [1e10], "powers_db": [0.0]})
+            or d["frame"].update(sample_rate=1e308),
+            lambda d: d.update(profile={"delays_samples": [0], "powers_db": [float("nan")]}),
+            lambda d: d.update(profile={"delays_samples": [0], "powers_db": [float("inf")]}),
         ],
     )
     def test_rejects_malformed_documents(self, mutate):
@@ -523,6 +529,12 @@ class TestCli:
             lambda d: d.update(equalizers="otfs_fde"),
             lambda d: d["frame"].update(sample_rate=float("nan")),
             lambda d: d.update(snr_db_list=[float("-inf"), 0.0]),
+            lambda d: d.update(profile={"delays_samples": [0], "powers_db": [float("nan")]}),
+            lambda d: d.update(profile={"delays_samples": [0], "powers_db": [float("inf")]}),
+            lambda d: d["frame"].pop("n_subcarriers"),
+            lambda d: d.update(profile={"delays_us": [float("inf")], "powers_db": [0.0]}),
+            lambda d: d.update(profile={"delays_us": [1e10], "powers_db": [0.0]})
+            or d["frame"].update(sample_rate=1e308),
         ],
     )
     def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):
@@ -541,6 +553,14 @@ class TestCli:
     def test_unknown_equalizer_is_reported(self, capsys):
         assert main(["run", "--preset", "toy", "--equalizers", "bogus"]) == 1
         assert "unknown equalizers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["", " , "], ids=["empty", "blank"])
+    def test_empty_equalizer_list_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "results.csv"
+        argv = ["run", "--preset", "toy", "--equalizers", value, "--out", str(out)]
+        assert main(argv) == 1
+        assert "at least one equalizer must be enabled" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_argparse_failures_use_exit_code_one(self):
         assert main(["frobnicate"]) == 1

@@ -60,11 +60,11 @@ class Link:
         noise = chan.awgn(shape, self.var, rng)
 
         x_otfs = otfs_modulate_fast(symbols.reshape(shape[::-1]).T)
-        self.y_otfs = chan.apply_time_channel(self.cir, x_otfs, frame) + noise
+        self.y_otfs = chan.apply_time_channel(self.cir, x_otfs) + noise
         x_ofdm = ofdm_modulate(symbols.reshape(shape))
-        self.y_ofdm = chan.apply_time_channel(self.cir, x_ofdm, frame) + noise
+        self.y_ofdm = chan.apply_time_channel(self.cir, x_ofdm) + noise
 
-        cfr = chan.cfr_from_cir(self.cir, frame)
+        cfr = chan.cfr_from_cir(self.cir)
         coeffs = eq.fde_build(cfr, self.var, mode="mmse")
         self.stage_one = dsft_inverse(coeffs * tf_stage(self.y_otfs))
 
@@ -73,7 +73,7 @@ class Link:
         # the dense oracles act on delay-Doppler vectors, index l * N + k
         self.y_dd = otfs_demodulate(self.y_otfs).ravel(order="F")
 
-        self.blocks = chan.symbol_channel_blocks(self.cir, frame)
+        self.blocks = chan.symbol_channel_blocks(self.cir)
         self.grams = eq.symbol_grams(self.blocks)
 
 
@@ -98,7 +98,7 @@ def test_block_stack_is_the_block_diagonal_exactly(link):
 
 def test_frequency_matrices_conjugate_the_block_stack(link):
     f = np.fft.fft(np.eye(link.frame.n_subcarriers), axis=0, norm="ortho")
-    mats = symbol_frequency_matrices(link.cir, link.frame)
+    mats = symbol_frequency_matrices(link.cir)
     assert_allclose(mats, f @ link.blocks @ f.conj().T, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_otfs_full_mmse_matches_dense(link):
 
 def test_ofdm_full_mmse_matches_per_symbol_dense(link):
     frame = link.frame
-    mats = symbol_frequency_matrices(link.cir, frame)
+    mats = symbol_frequency_matrices(link.cir)
     y_tf = tf_stage(link.y_ofdm)
     oracle = np.empty((frame.n_doppler_bins, frame.n_subcarriers), dtype=complex)
     for n in range(frame.n_doppler_bins):
@@ -202,10 +202,6 @@ def test_circulant_kernels_reject_bad_arguments():
         eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), cancel)
     with pytest.raises(ValueError):
         eq.mmse_factor(grams, -1.0)
-    toy = PRESETS["toy"].frame
-    desk = PRESETS["desk"]
-    with pytest.raises(ValueError):
-        chan.symbol_channel_blocks(chan.fixed_cir(desk.profile, desk.frame), toy)
 
 
 def test_all_zero_blocks_are_singular_at_zero_noise():
@@ -218,8 +214,8 @@ def test_all_zero_blocks_are_singular_at_zero_noise():
 
 
 def test_singular_channel_exits_two(monkeypatch, tmp_path, capsys):
-    def zero_blocks(cir, config):
-        n, m = config.n_doppler_bins, config.n_subcarriers
+    def zero_blocks(cir):
+        n, m = cir.gains.shape[1:]
         return np.zeros((n, m, m), dtype=complex)
 
     monkeypatch.setattr(chan, "symbol_channel_blocks", zero_blocks)
