@@ -9,14 +9,13 @@ after CP removal the time-domain channel is block diagonal, one circular
 reproduces the physical convolution exactly; with Doppler the two differ
 only through tap variation across the CP samples.
 
-``apply_time_channel`` filters an ``(n_doppler_bins, n_subcarriers)`` time
-frame tap by tap, ``cfr_from_cir`` gives the single-tap equalizers their
-frequency response in the same layout, one row per symbol, and
-``symbol_channel_blocks`` returns the ``(n_doppler_bins, n_subcarriers,
-n_subcarriers)`` block stack; each reads the frame size from the
-realization.  The delay-Doppler channel built from such a stack is
-circulant over Doppler; ``doppler_coupling`` gives its entries.  No
-``frame_size``-square matrix is formed here.
+Taps are the receivers' one operator format: a realization's Grams
+(``symbol_grams``) and Doppler coupling (``doppler_coupling``) are
+per-symbol circular tapped filters too, applied to an ``(n_doppler_bins,
+n_subcarriers)`` frame by ``apply_time_channel`` and, as the adjoint, by
+``matched_filter``.  ``cfr_from_cir`` gives the single-tap equalizers their
+frequency response; only ``symbol_channel_blocks`` scatters taps into a
+dense ``(N, M, M)`` stack.  No ``frame_size``-square matrix is formed here.
 """
 
 from __future__ import annotations
@@ -71,10 +70,16 @@ class TapProfile:
             raise ValueError("delays and powers_db must have equal length")
         merged: dict[int, float] = {}
         for d, p_db in zip(delays, powers_db):
+            try:
+                power = 10.0 ** (p_db / 10.0)
+            except OverflowError:
+                raise ValueError(f"tap power {p_db} dB overflows a float") from None
             # taps that round onto the same sample add in power
-            merged[int(d)] = merged.get(int(d), 0.0) + 10.0 ** (p_db / 10.0)
+            merged[int(d)] = merged.get(int(d), 0.0) + power
         delays_out = tuple(sorted(merged))
         total = sum(merged.values())
+        if total == 0.0:
+            raise ValueError(f"tap powers {list(powers_db)} dB underflow to zero")
         powers_out = tuple(merged[d] / total for d in delays_out)
         return cls(delays_out, powers_out)
 
@@ -103,13 +108,13 @@ def single_tap_profile() -> TapProfile:
 
 @dataclass(frozen=True)
 class TimeVaryingCir:
-    """One channel realization: the taps of a tapped delay line.
+    """Per-symbol circular tapped filters: a channel realization, its Grams
+    or a Doppler coupling.
 
-    ``delays`` are the tap delays in samples, ascending.  ``gains`` has
-    shape ``(len(delays), n_doppler_bins, n_subcarriers)``: ``gains[k, n,
-    s]`` is the gain of tap ``delays[k]`` at sample ``s`` of symbol ``n``
-    after CP removal, physical sample ``n * (n_subcarriers + cp_len) +
-    cp_len + s`` of the CP-extended frame.
+    ``delays`` are ascending, distinct delays in samples; ``gains[k, n, s]``
+    multiplies input sample ``(s - delays[k]) mod n_subcarriers`` into
+    output sample ``s`` of row ``n``.  For a realization it is the tap's
+    gain at physical sample ``n * (n_subcarriers + cp_len) + cp_len + s``.
     """
 
     delays: tuple[int, ...]
@@ -210,6 +215,16 @@ def apply_time_channel(cir: TimeVaryingCir, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def matched_filter(cir: TimeVaryingCir, y: np.ndarray) -> np.ndarray:
+    """Per-symbol matched filter ``H_n^H y_n``, the adjoint of
+    :func:`apply_time_channel`: output sample ``j`` adds the conjugate of
+    tap ``d`` at sample ``j + d`` times input sample ``j + d``."""
+    x = np.zeros(y.shape, dtype=np.complex128)
+    for d, g in zip(cir.delays, cir.gains):
+        x += np.roll(g.conj() * y, -d, axis=1)
+    return x
+
+
 def noise_variance(snr_db: float) -> float:
     """Complex noise variance for unit received symbol energy; +inf SNR -> 0."""
     if snr_db == np.inf:
@@ -241,7 +256,7 @@ def cfr_from_cir(cir: TimeVaryingCir) -> np.ndarray:
 
 
 def symbol_channel_blocks(cir: TimeVaryingCir) -> np.ndarray:
-    """Per-symbol time-domain channel blocks, shape
+    """Dense per-symbol blocks of a tapped filter, shape
     ``(n_doppler_bins, n_subcarriers, n_subcarriers)``.
 
     Entry ``[n]`` is symbol ``n``'s circular block: row ``s`` carries tap
@@ -255,14 +270,29 @@ def symbol_channel_blocks(cir: TimeVaryingCir) -> np.ndarray:
     return blocks
 
 
-def doppler_coupling(stack: np.ndarray) -> np.ndarray:
-    """Delay-Doppler coupling of a per-symbol ``(N, M, M)`` stack ``B``.
+def symbol_grams(cir: TimeVaryingCir) -> TimeVaryingCir:
+    """Per-symbol Grams ``G_n = H_n^H H_n`` as taps: pair ``(d, e)`` adds
+    ``conj(g_d) * g_e``, rolled back ``d`` samples, on delay ``(e - d) mod
+    n_subcarriers``; delay 0, always present, holds the diagonal."""
+    n_sub = cir.gains.shape[2]
+    grams: dict[int, np.ndarray] = {}
+    for d, g_d in zip(cir.delays, cir.gains):
+        for e, g_e in zip(cir.delays, cir.gains):
+            q = (e - d) % n_sub
+            grams[q] = grams.get(q, 0.0) + np.roll(g_d.conj() * g_e, -d, axis=1)
+    delays = tuple(sorted(grams))
+    return TimeVaryingCir(delays=delays, gains=np.stack([grams[q] for q in delays]))
+
+
+def doppler_coupling(cir: TimeVaryingCir) -> TimeVaryingCir:
+    """Delay-Doppler coupling of per-symbol tapped filters ``B_n``.
 
     Modulating a delay-Doppler frame, applying ``B_n`` to symbol ``n`` and
     demodulating gives a matrix whose entry ``[(l, k), (l', k')]`` (delay
     ``l``, Doppler ``k``; vector index ``l * N + k``) is
-    ``c[(k - k') mod N, l, l']`` with ``c = fft(B, axis=0) / N``, which
-    this returns.  For the channel blocks it is the equivalent channel, for
-    their Grams the equivalent channel's Gram.
+    ``c[(k - k') mod N, l, l']`` with ``c = fft(B, axis=0) / N``.  This
+    returns ``c`` as taps: the gains' FFT over symbols, divided by ``N``.
+    For a realization it is the equivalent channel, for its Grams the
+    equivalent channel's Gram.
     """
-    return np.fft.fft(stack, axis=0) / stack.shape[0]
+    return TimeVaryingCir(cir.delays, np.fft.fft(cir.gains, axis=1) / cir.gains.shape[1])

@@ -50,7 +50,6 @@ class ExperimentConfig:
     equalizers: tuple[str, ...] = EQUALIZER_NAMES
     fde_mode: str = "magnitude"
     clip_threshold: float = 0.02
-    dde_iterations: int = 1
     fading: bool = True
 
     def __post_init__(self) -> None:
@@ -73,8 +72,6 @@ class ExperimentConfig:
             raise ValueError(f"fde_mode must be one of {eq.FDE_MODES}")
         if not 0.0 <= self.clip_threshold <= 1.0:
             raise ValueError("clip_threshold must lie in [0, 1]")
-        if self.dde_iterations < 1:
-            raise ValueError("dde_iterations must be at least 1")
         if not self.fading and any(f > 0 for f in self.doppler_hz_list):
             raise ValueError("a non-fading channel cannot carry Doppler")
         if self.profile.max_delay >= self.frame.max_delay_taps:
@@ -159,22 +156,18 @@ def run_trial(
         if "otfs_fde" in enabled:
             errors["otfs_fde"] = _count_errors(stage_one.T, bits)
 
-    # the per-symbol receivers share one block stack, its Grams and, for
-    # both full-MMSE links, one batched factorization
+    # the per-symbol receivers share the Grams' taps; only the two full-MMSE
+    # references scatter them into dense blocks, for one batched factorization
     if enabled & {"otfs_fde_dde", "otfs_full_mmse", "ofdm_full_mmse"}:
-        blocks = chan.symbol_channel_blocks(cir)
-        grams = eq.symbol_grams(blocks)
+        grams = chan.symbol_grams(cir)
     if enabled & {"otfs_full_mmse", "ofdm_full_mmse"}:
-        factor = eq.mmse_factor(grams, var)
+        factor = eq.mmse_factor(chan.symbol_channel_blocks(grams), var)
 
     if enabled & {"otfs_fde_dde", "otfs_full_mmse"}:
-        matched = eq.symbol_matched_filter(blocks, y_otfs)
+        matched = chan.matched_filter(cir, y_otfs)
         if "otfs_fde_dde" in enabled:
-            matched_dd = otfs_demodulate(matched)
             cancel = eq.dde_build_circulant(grams, config.clip_threshold)
-            estimate = eq.dde_equalize_circulant(matched_dd, stage_one, cancel)
-            for _ in range(config.dde_iterations - 1):
-                estimate = eq.dde_equalize_circulant(matched_dd, estimate, cancel)
+            estimate = eq.dde_equalize_circulant(otfs_demodulate(matched), stage_one, cancel)
             errors["otfs_fde_dde"] = _count_errors(estimate.T, bits)
         if "otfs_full_mmse" in enabled:
             estimate = eq.otfs_full_mmse(factor, matched)
@@ -187,7 +180,7 @@ def run_trial(
             equalized = fde_gains * tf_stage(y_ofdm)
             errors["ofdm_single_tap"] = _count_errors(equalized, bits)
         if "ofdm_full_mmse" in enabled:
-            matched = eq.symbol_matched_filter(blocks, y_ofdm)
+            matched = chan.matched_filter(cir, y_ofdm)
             estimate = eq.ofdm_full_mmse(factor, matched)
             errors["ofdm_full_mmse"] = _count_errors(estimate, bits)
 
@@ -410,7 +403,7 @@ def load_experiment_config(source: "str | dict") -> ExperimentConfig:
     for key, parse in lists.items():
         if key in raw:
             kwargs[key] = _json_array(raw[key], key, parse)
-    for key in ("n_trials", "base_seed", "dde_iterations"):
+    for key in ("n_trials", "base_seed"):
         if key in raw:
             kwargs[key] = _json_int(raw[key], key)
     if "fde_mode" in raw:
@@ -451,8 +444,8 @@ def table2_preset() -> ExperimentConfig:
     urban six-tap profile with a 5 us delay spread.
 
     Every receiver runs at this scale, since none forms an 8192-square
-    matrix: one trial with all five took about 0.9 s and 0.5 GB peak RSS on
-    a 2-core Xeon with two BLAS threads.  The default list keeps the two
+    matrix: one trial with all five took about 0.43 s and 0.27 GB peak RSS
+    on a 2-core Xeon with two BLAS threads.  The default list keeps the two
     full-MMSE references out.
     """
     frame = FrameConfig(
@@ -528,12 +521,13 @@ def inspect_channel(
     output index).
 
     The equivalent channel is circulant over Doppler, so every row is read
-    from the :func:`~otfslink.channel.doppler_coupling` of the per-symbol
-    block stack; no ``frame_size``-square matrix is formed.
+    from the dense blocks of the realization's
+    :func:`~otfslink.channel.doppler_coupling`; no ``frame_size``-square
+    matrix is formed.
     """
     frame = config.frame
     cir = _draw_channel(config, doppler_hz, config.base_seed if seed is None else seed)
-    mags = np.abs(chan.doppler_coupling(chan.symbol_channel_blocks(cir)))
+    mags = np.abs(chan.symbol_channel_blocks(chan.doppler_coupling(cir)))
     k = np.arange(frame.n_doppler_bins)
     shifts = (k[:, None] - k[None, :]) % frame.n_doppler_bins
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -53,7 +53,7 @@ class TestExperimentConfig:
             {"equalizers": ("otfs_fde", "otfs_fde")},
             {"fde_mode": "zf"},
             {"clip_threshold": 1.5},
-            {"dde_iterations": 0},
+            {"clip_threshold": -0.1},
             {"fading": False, "doppler_hz_list": (0.0, 500.0)},
             {"profile": TapProfile.from_powers_db([0, 5], [0.0, 0.0])},
             {"doppler_hz_list": (0.0, float("nan"))},
@@ -146,15 +146,45 @@ class TestRunTrial:
 
     def test_table2_trials_match_pinned_error_counts(self):
         # seed 2024, trials 0-1, at 20 dB and 6000 Hz on the table2 preset
-        # (512 x 16 frame, TU6 taps up to delay 200); the same values are the
-        # benchmark's table2_fast reference frames
-        config = replace(harness.table2_preset(), equalizers=("otfs_fde", "ofdm_single_tap"))
+        # (512 x 16 frame, TU6 taps up to delay 200), all five receivers; the
+        # otfs_fde and ofdm_single_tap values are the benchmark's table2_fast
+        # reference frames
+        config = replace(harness.table2_preset(), equalizers=harness.EQUALIZER_NAMES)
         assert config.base_seed == 2024
         trials = [harness.run_trial(config, 20.0, 6000.0, t) for t in range(2)]
         assert trials == [
-            {"otfs_fde": 438, "ofdm_single_tap": 150},
-            {"otfs_fde": 479, "ofdm_single_tap": 198},
+            {
+                "ofdm_full_mmse": 75,
+                "ofdm_single_tap": 150,
+                "otfs_fde": 438,
+                "otfs_fde_dde": 187,
+                "otfs_full_mmse": 0,
+            },
+            {
+                "ofdm_full_mmse": 77,
+                "ofdm_single_tap": 198,
+                "otfs_fde": 479,
+                "otfs_fde_dde": 173,
+                "otfs_full_mmse": 0,
+            },
         ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("preset", ["desk", "table2"])
+    def test_two_stage_path_builds_no_dense_blocks(self, monkeypatch, preset):
+        # only the two full-MMSE references scatter taps into (M, M) blocks
+        config = replace(
+            harness.PRESETS[preset](),
+            equalizers=("otfs_fde", "otfs_fde_dde", "ofdm_single_tap"),
+        )
+        snr_db, doppler_hz = 20.0, max(config.doppler_hz_list)
+        expected = harness.run_trial(config, snr_db, doppler_hz, 0)
+
+        def no_dense_blocks(cir):
+            raise AssertionError("symbol_channel_blocks called on the two-stage path")
+
+        monkeypatch.setattr(harness.chan, "symbol_channel_blocks", no_dense_blocks)
+        assert harness.run_trial(config, snr_db, doppler_hz, 0) == expected
 
 
 class TestRunSweep:
@@ -320,7 +350,7 @@ class TestLoadExperimentConfig:
             lambda d: d.update(n_trials=2.9),
             lambda d: d.update(n_trials=True),
             lambda d: d.update(base_seed=7.0),
-            lambda d: d.update(dde_iterations=True),
+            lambda d: d.update(dde_iterations=1),
             lambda d: d["frame"].update(n_subcarriers=8.0),
             lambda d: d["frame"].update(n_doppler_bins=True),
             lambda d: d["frame"].update(sample_rate="64000"),
@@ -535,6 +565,8 @@ class TestCli:
             lambda d: d.update(profile={"delays_us": [float("inf")], "powers_db": [0.0]}),
             lambda d: d.update(profile={"delays_us": [1e10], "powers_db": [0.0]})
             or d["frame"].update(sample_rate=1e308),
+            lambda d: d.update(profile={"delays_samples": [0], "powers_db": [4000]}),
+            lambda d: d.update(profile={"delays_samples": [0], "powers_db": [-4000]}),
         ],
     )
     def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):

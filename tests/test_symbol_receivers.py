@@ -3,7 +3,9 @@
 Every kernel ``run_trial`` uses for the cancellation and full-MMSE
 receivers is checked here against the dense ``frame_size``-square path it
 replaced: the time-domain channel matrix, the equivalent channel, its Gram,
-``dde_build``/``dde_equalize`` and ``full_mmse``.
+``dde_build``/``dde_equalize`` and ``full_mmse``.  The tap-form Grams and
+matched filter are also checked against products of the dense per-symbol
+blocks, up to the ``table2`` frame.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class Link:
         self.y_dd = otfs_demodulate(self.y_otfs).ravel(order="F")
 
         self.blocks = chan.symbol_channel_blocks(self.cir)
-        self.grams = eq.symbol_grams(self.blocks)
+        self.grams = chan.symbol_grams(self.cir)
+        self.gram_blocks = chan.symbol_channel_blocks(self.grams)
 
 
 @pytest.fixture(
@@ -103,8 +106,8 @@ def test_frequency_matrices_conjugate_the_block_stack(link):
 
 
 def test_otfs_full_mmse_matches_dense(link):
-    factor = eq.mmse_factor(link.grams, link.var)
-    matched = eq.symbol_matched_filter(link.blocks, link.y_otfs)
+    factor = eq.mmse_factor(link.gram_blocks, link.var)
+    matched = chan.matched_filter(link.cir, link.y_otfs)
     oracle = full_mmse(link.h_eq, link.y_dd, link.var)
     estimate = eq.otfs_full_mmse(factor, matched)
     assert_allclose(estimate.ravel(order="F"), oracle, rtol=0, atol=1e-10)
@@ -117,48 +120,99 @@ def test_ofdm_full_mmse_matches_per_symbol_dense(link):
     oracle = np.empty((frame.n_doppler_bins, frame.n_subcarriers), dtype=complex)
     for n in range(frame.n_doppler_bins):
         oracle[n] = full_mmse(mats[n], y_tf[n], link.var)
-    factor = eq.mmse_factor(link.grams, link.var)
-    matched = eq.symbol_matched_filter(link.blocks, link.y_ofdm)
+    factor = eq.mmse_factor(link.gram_blocks, link.var)
+    matched = chan.matched_filter(link.cir, link.y_ofdm)
     assert_allclose(eq.ofdm_full_mmse(factor, matched), oracle, rtol=0, atol=1e-10)
 
 
 def test_matched_filter_matches_dense(link):
-    matched = eq.symbol_matched_filter(link.blocks, link.y_otfs)
+    matched = chan.matched_filter(link.cir, link.y_otfs)
     matched_dd = otfs_demodulate(matched).ravel(order="F")
     assert_allclose(matched_dd, link.h_eq.conj().T @ link.y_dd, rtol=0, atol=1e-10)
 
 
+TAP_PRESETS = {**PRESETS, "table2": harness.table2_preset()}
+
+
+@pytest.fixture(scope="module", params=sorted(TAP_PRESETS))
+def taps(request):
+    """A 6000 Hz realization, its dense per-symbol blocks and a random
+    complex frame."""
+    config = TAP_PRESETS[request.param]
+    frame = config.frame
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cir = chan.generate_cir(config.profile, 6000.0, frame, 5)
+    rng = np.random.default_rng(frame.frame_size)
+    shape = (frame.n_doppler_bins, frame.n_subcarriers)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return cir, chan.symbol_channel_blocks(cir), x
+
+
+def test_symbol_grams_match_dense(taps):
+    cir, blocks, _ = taps
+    grams = chan.symbol_grams(cir)
+    n_taps = len(cir.delays)
+    assert grams.delays == tuple(sorted(set(grams.delays)))
+    assert grams.delays[0] == 0 and len(grams.delays) <= n_taps * (n_taps - 1) + 1
+    dense = blocks.conj().swapaxes(1, 2) @ blocks
+    assert_allclose(chan.symbol_channel_blocks(grams), dense, rtol=0, atol=1e-12)
+
+
+def test_tap_matched_filter_matches_dense(taps):
+    cir, blocks, y = taps
+    dense = (blocks.conj().swapaxes(1, 2) @ y[..., None])[..., 0]
+    assert_allclose(chan.matched_filter(cir, y), dense, rtol=0, atol=1e-12)
+
+
+def test_gram_taps_apply_the_dense_gram(taps):
+    cir, blocks, x = taps
+    dense = (blocks.conj().swapaxes(1, 2) @ (blocks @ x[..., None]))[..., 0]
+    applied = chan.apply_time_channel(chan.symbol_grams(cir), x)
+    assert_allclose(applied, dense, rtol=0, atol=1e-12)
+
+
 def test_doppler_coupling_of_blocks_is_the_equivalent_channel(link):
-    coupling = chan.doppler_coupling(link.blocks)
+    coupling = chan.symbol_channel_blocks(chan.doppler_coupling(link.cir))
     assert_allclose(expand_circulant(coupling), link.h_eq, rtol=0, atol=1e-12)
+
+
+def _coupling(cancel: eq.CirculantCancellation) -> np.ndarray:
+    """The dense ``(N, M, M)`` coupling of a cancellation stage, the inverse
+    Doppler FFT of its spectrum."""
+    delays, spectrum = cancel.spectrum.delays, cancel.spectrum.gains
+    taps = chan.TimeVaryingCir(delays, np.fft.ifft(spectrum, axis=1))
+    return chan.symbol_channel_blocks(taps)
 
 
 def test_circulant_gram_matches_dense(link):
     cancel = eq.dde_build_circulant(link.grams, clip_threshold=0.0)
     diag = np.repeat(cancel.diag, link.frame.n_doppler_bins)
-    gram = expand_circulant(cancel.coupling) + np.diag(diag)
+    gram = expand_circulant(_coupling(cancel)) + np.diag(diag)
     assert_allclose(gram, link.h_eq.conj().T @ link.h_eq, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("clip", CLIPS)
 def test_circulant_cancellation_matches_dense(link, clip):
     cancel = eq.dde_build_circulant(link.grams, clip)
-    r_bar = expand_circulant(cancel.coupling)
-    assert_allclose(
-        cancel.spectrum, np.fft.fft(cancel.coupling, axis=0), rtol=0, atol=1e-12
-    )
 
     # the same clipping rule on the exactly block-circulant Gram gives the
-    # same matrix, zero for zero
-    full = eq.dde_build_circulant(link.grams, 0.0)
-    n_dop = link.frame.n_doppler_bins
-    exact = dde_build(
-        link.h_eq,
-        clip,
-        gram=expand_circulant(full.coupling) + np.diag(np.repeat(full.diag, n_dop)),
-    )
-    assert_array_equal(r_bar == 0, exact.r_bar == 0)
-    assert_array_equal(r_bar, exact.r_bar)
+    # same matrix, zero for zero: its coupling, read back into the
+    # spectrum's taps, has the spectrum's Doppler FFT bit for bit, and it
+    # holds nothing off those taps
+    coupling = chan.symbol_channel_blocks(chan.doppler_coupling(link.grams))
+    exact = dde_build(link.h_eq, clip, gram=expand_circulant(coupling))
+    n_dop, n_sub = link.frame.n_doppler_bins, link.frame.n_subcarriers
+    # r_bar[(l, k), (l', 0)] = c[k, l, l'], in delay-Doppler vector order
+    exact_coupling = exact.r_bar.reshape(n_sub, n_dop, n_sub, n_dop)[..., 0]
+    exact_coupling = exact_coupling.transpose(1, 0, 2)
+    s = np.arange(n_sub)
+    delays = cancel.spectrum.delays
+    taps = np.stack([exact_coupling[:, s, (s - q) % n_sub] for q in delays])
+    assert_array_equal(cancel.spectrum.gains, np.fft.fft(taps, axis=1))
+    exact_taps = chan.TimeVaryingCir(delays, taps)
+    assert_array_equal(chan.symbol_channel_blocks(exact_taps), exact_coupling)
+    r_bar = exact.r_bar
 
     # against the fully dense path, only entries whose magnitude ties the
     # clip threshold to rounding may land on different sides of it: a
@@ -180,7 +234,7 @@ def test_circulant_cancellation_matches_dense(link, clip):
 @pytest.mark.parametrize("clip", CLIPS[:3])
 def test_circulant_equalize_matches_dense(link, clip):
     cancel = eq.dde_build_circulant(link.grams, clip)
-    matched = eq.symbol_matched_filter(link.blocks, link.y_otfs)
+    matched = chan.matched_filter(link.cir, link.y_otfs)
     matched_dd = otfs_demodulate(matched)
     dense = dde_build(link.h_eq, clip)
 
@@ -193,19 +247,25 @@ def test_circulant_equalize_matches_dense(link, clip):
     assert_allclose(second.ravel(order="F"), oracle, rtol=0, atol=1e-10)
 
 
+def _zero_taps() -> chan.TimeVaryingCir:
+    return chan.TimeVaryingCir((0,), np.zeros((1, 4, 8), dtype=complex))
+
+
 def test_circulant_kernels_reject_bad_arguments():
-    grams = np.zeros((4, 8, 8), dtype=complex)
+    grams = chan.symbol_grams(_zero_taps())
     with pytest.raises(ValueError):
         eq.dde_build_circulant(grams, clip_threshold=1.5)
     cancel = eq.dde_build_circulant(grams, clip_threshold=0.0)
     with pytest.raises(ValueError):
         eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), cancel)
     with pytest.raises(ValueError):
-        eq.mmse_factor(grams, -1.0)
+        eq.mmse_factor(chan.symbol_channel_blocks(grams), -1.0)
+    with pytest.raises(ValueError):
+        chan.matched_filter(grams, np.zeros((8, 4)))
 
 
 def test_all_zero_blocks_are_singular_at_zero_noise():
-    grams = eq.symbol_grams(np.zeros((4, 8, 8), dtype=complex))
+    grams = chan.symbol_channel_blocks(chan.symbol_grams(_zero_taps()))
     singular = r"normal matrix is singular \(noise_var=0\.0\)"
     with pytest.raises(np.linalg.LinAlgError, match=singular):
         eq.mmse_factor(grams, 0.0)
