@@ -142,6 +142,13 @@ def generate_cir(
     isotropic-scattering autocorrelation ``J0(2*pi*doppler_hz*tau)`` and
     the profile's mean tap powers.  The sinusoids are evaluated only at the
     post-CP sample times, in the frame layout of :class:`TimeVaryingCir`.
+    Sample ``s`` of symbol ``n`` lies at ``n * (n_subcarriers + cp_len) +
+    cp_len + s``, so each sinusoid factors into a per-symbol phasor times a
+    per-offset phasor: a tap is the product of an ``(n_doppler_bins,
+    N_SINUSOIDS)`` and an ``(N_SINUSOIDS, n_subcarriers)`` phasor table,
+    ``(n_doppler_bins + n_subcarriers) * N_SINUSOIDS`` exponentials instead
+    of one per sinusoid and sample.  The product's rounding does not depend
+    on the BLAS thread count.
     ``doppler_hz = 0`` collapses every tap to a random complex constant.
     """
     if not 0 <= doppler_hz < np.inf:
@@ -160,16 +167,17 @@ def generate_cir(
     # taps are stored by ascending delay; tap k keeps the k-th seed stream
     order = sorted(range(len(profile.delays)), key=profile.delays.__getitem__)
     n_sub, cp = config.n_subcarriers, config.cp_len
-    symbol_starts = np.arange(config.n_doppler_bins)[:, None] * (n_sub + cp) + cp
-    times = (symbol_starts + np.arange(n_sub)) / config.sample_rate
-    gains = np.empty((len(order), *times.shape), dtype=np.complex128)
+    symbol_times = np.arange(config.n_doppler_bins) * (n_sub + cp) / config.sample_rate
+    offset_times = (cp + np.arange(n_sub)) / config.sample_rate
+    gains = np.empty((len(order), config.n_doppler_bins, n_sub), dtype=np.complex128)
     for tap, k in zip(gains, order):
         rng = np.random.default_rng(tap_seeds[k])
         angles = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
         phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
         rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
-        phasors = np.exp(1j * (rates[:, None, None] * times + phases[:, None, None]))
-        tap[:] = np.sqrt(profile.powers[k] / N_SINUSOIDS) * phasors.sum(axis=0)
+        per_symbol = np.exp(1j * (np.outer(symbol_times, rates) + phases))
+        per_offset = np.exp(1j * np.outer(rates, offset_times))
+        tap[:] = np.sqrt(profile.powers[k] / N_SINUSOIDS) * (per_symbol @ per_offset)
     return TimeVaryingCir(delays=tuple(profile.delays[k] for k in order), gains=gains)
 
 
@@ -263,10 +271,14 @@ def symbol_channel_blocks(cir: TimeVaryingCir) -> np.ndarray:
     ``d`` at column ``(s - d) mod n_subcarriers``.
     """
     n_dop, n_sub = cir.gains.shape[1:]
-    s = np.arange(n_sub)
     blocks = np.zeros((n_dop, n_sub, n_sub), dtype=np.complex128)
+    # entry (s, (s - d) mod M) is flat index s * (M + 1) - d, plus M for
+    # s < d: two strided runs of the flattened block
+    flat = blocks.reshape(n_dop, n_sub * n_sub)
     for d, g in zip(cir.delays, cir.gains):
-        blocks[:, s, (s - d) % n_sub] = g
+        d %= n_sub
+        flat[:, d * n_sub :: n_sub + 1] = g[:, d:]
+        flat[:, n_sub - d : d * (n_sub + 1) : n_sub + 1] = g[:, :d]
     return blocks
 
 

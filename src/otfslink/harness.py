@@ -444,7 +444,7 @@ def table2_preset() -> ExperimentConfig:
     urban six-tap profile with a 5 us delay spread.
 
     Every receiver runs at this scale, since none forms an 8192-square
-    matrix: one trial with all five took about 0.43 s and 0.27 GB peak RSS
+    matrix: one trial with all five took about 0.30 s and 0.27 GB peak RSS
     on a 2-core Xeon with two BLAS threads.  The default list keeps the two
     full-MMSE references out.
     """

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 
+import otfslink
 from oracles import (
     apply_channel,
     band_support,
@@ -35,7 +40,7 @@ from otfslink import (
     tu6_profile,
 )
 from otfslink import harness
-from otfslink.channel import TU6_DELAYS_US, TU6_POWERS_DB, awgn
+from otfslink.channel import N_SINUSOIDS, TU6_DELAYS_US, TU6_POWERS_DB, awgn
 
 TOY = FrameConfig(
     n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
@@ -161,16 +166,78 @@ class TestGenerateCir:
     @pytest.mark.parametrize("preset", ["toy", "desk", "table2"])
     @pytest.mark.parametrize("doppler_hz", [0.0, 1280.0, 6000.0])
     def test_gains_are_the_post_cp_samples_of_the_physical_track(self, preset, doppler_hz):
-        # entry [k, n, s] is physical sample n * (M + cp) + cp + s; a draw at
-        # n * M + s, or one that leaves the prefixes in, fails here
+        # entry [k, n, s] is physical sample n * (M + cp) + cp + s.  With
+        # Doppler the factorized draw rounds differently from the track (by
+        # under 2e-15), while a one-sample layout error moves a gain by about
+        # 2 pi f_d / fs, so the neighbouring layouts, sample n * M + s or the
+        # prefixes left in, must miss the draw by far more than atol
         config = harness.PRESETS[preset]()
         frame = config.frame
         cir = fast_cir(config.profile, doppler_hz, frame, seed=17)
         track = physical_gains(config.profile, doppler_hz, frame, seed=17)
-        m, cp = frame.n_subcarriers, frame.cp_len
-        per_symbol = track.reshape(len(cir.delays), frame.n_doppler_bins, m + cp)
+        n, m, cp = frame.n_doppler_bins, frame.n_subcarriers, frame.cp_len
+        per_symbol = track.reshape(len(cir.delays), n, m + cp)
         assert cir.delays == tuple(sorted(config.profile.delays))
-        assert_array_equal(cir.gains, per_symbol[:, :, cp:])
+        if doppler_hz == 0.0:
+            assert_array_equal(cir.gains, per_symbol[:, :, cp:])
+            return
+        assert_allclose(cir.gains, per_symbol[:, :, cp:], rtol=0, atol=1e-12)
+        without_prefixes = track[:, : n * m].reshape(cir.gains.shape)
+        prefixes_left_in = per_symbol[:, :, :m]
+        for layout in (without_prefixes, prefixes_left_in):
+            assert np.max(np.abs(cir.gains - layout)) > 1e-6
+
+    def test_gains_do_not_depend_on_blas_threads(self):
+        # each tap is a BLAS product of two phasor tables; a fresh process
+        # per thread count, since OpenBLAS reads it once at load
+        script = (
+            "import hashlib, warnings\n"
+            "from otfslink import generate_cir, harness\n"
+            "warnings.simplefilter('ignore', RuntimeWarning)\n"
+            "digest = hashlib.sha256()\n"
+            "for preset in ('table2', 'desk'):\n"
+            "    config = harness.PRESETS[preset]()\n"
+            "    for seed in range(4):\n"
+            "        cir = generate_cir(config.profile, 6000.0, config.frame, seed)\n"
+            "        digest.update(cir.gains.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(otfslink.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(digests[0]) == 65
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("preset", ["toy", "desk", "table2"])
+    def test_gains_equal_the_broadcast_sum_of_the_phasor_tables(self, preset):
+        # the same two tables, multiplied elementwise and summed over the
+        # sinusoids instead of by BLAS
+        config = harness.PRESETS[preset]()
+        frame, profile = config.frame, config.profile
+        cir = fast_cir(profile, 6000.0, frame, seed=23)
+        m, cp = frame.n_subcarriers, frame.cp_len
+        symbol_times = np.arange(frame.n_doppler_bins) * (m + cp) / frame.sample_rate
+        offset_times = (cp + np.arange(m)) / frame.sample_rate
+        tap_seeds = np.random.SeedSequence(23).spawn(len(profile.delays))
+        order = sorted(range(len(profile.delays)), key=profile.delays.__getitem__)
+        for gains, k in zip(cir.gains, order):
+            rng = np.random.default_rng(tap_seeds[k])
+            angles, phases = rng.uniform(0.0, 2.0 * np.pi, (2, N_SINUSOIDS))
+            rates = 2.0 * np.pi * 6000.0 * np.cos(angles)
+            per_symbol = np.exp(1j * (np.outer(symbol_times, rates) + phases))
+            per_offset = np.exp(1j * np.outer(rates, offset_times))
+            summed = (per_symbol[:, :, None] * per_offset).sum(axis=1)
+            expected = np.sqrt(profile.powers[k] / N_SINUSOIDS) * summed
+            assert_allclose(gains, expected, rtol=0, atol=1e-13)
 
     def test_rejects_bad_inputs(self):
         for doppler_hz in (-1.0, float("nan"), float("inf")):
