@@ -2,6 +2,11 @@
 time-varying multipath channels, with a two-stage equalizer and reference
 baselines."""
 
+# numpy loads its FFT and random submodules lazily; loading them with the
+# package spares every forked sweep worker that cost on its first frame
+import numpy.fft
+import numpy.random
+
 from .channel import (
     TapProfile,
     TimeVaryingCir,

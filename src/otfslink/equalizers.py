@@ -14,7 +14,7 @@ unitary.  The cancellation stage stays in that tap format: the Grams
 ``G_n = H_n^H H_n``, their Doppler coupling (the delay-Doppler Gram), its
 clipping and the regenerated interference are all taps.  Only full MMSE,
 the reference receiver, scatters the Grams into dense blocks for one
-batched Cholesky factorization.  Every frame in and out is an
+batched LU solve shared by both links.  Every frame in and out is an
 ``(n_doppler_bins, n_subcarriers)`` array.
 """
 
@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import channel as chan
 from .channel import TimeVaryingCir, apply_time_channel, doppler_coupling
 from .frame import qpsk_slice
-from .transforms import otfs_demodulate
 
 FDE_MODES = ("magnitude", "mmse")
 
@@ -63,51 +62,31 @@ def _clip(coupling: np.ndarray, clip_threshold: float) -> np.ndarray:
     return coupling
 
 
-def mmse_factor(grams: np.ndarray, noise_var: float) -> np.ndarray:
-    """Lower Cholesky factors of ``G_n + noise_var I``, batched over symbols.
+def mmse_solve(grams: TimeVaryingCir, noise_var: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(G_n + noise_var I) x_n = rhs_n`` for every symbol ``n``.
 
-    Raises a singularity error when a regularized block cannot be
-    factorized (for example ``noise_var = 0`` with a rank-deficient block).
+    ``grams`` are the per-symbol Grams' taps and ``rhs`` an
+    ``(n_doppler_bins, n_subcarriers, K)`` stack of ``K`` right-hand sides,
+    typically matched filters.  The Grams are scattered into dense blocks
+    and all symbols are solved in one batched LU solve.  Both links'
+    modulators are unitary, so the OTFS demodulation of a matched filter's
+    solution is full MMSE on the equivalent channel, and the unitary FFT of
+    each symbol's solution is full MMSE on ``F H_n F^H``.
+
+    Raises a singularity error when a regularized block cannot be solved
+    (for example ``noise_var = 0`` with an all-zero block).
     """
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError("noise_var must be non-negative")
-    normal = grams + noise_var * np.eye(grams.shape[-1])
+    normal = chan.symbol_channel_blocks(grams)
+    n_sub = normal.shape[-1]
+    normal.reshape(len(normal), n_sub * n_sub)[:, :: n_sub + 1] += noise_var
     try:
-        return np.linalg.cholesky(normal)
+        return np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(
             f"normal matrix is singular (noise_var={noise_var})"
         ) from err
-
-
-def mmse_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(G_n + noise_var I) x_n = rhs_n`` for every symbol ``n``."""
-    return np.stack(
-        [
-            scipy.linalg.cho_solve((f, True), b, check_finite=False)
-            for f, b in zip(factor, rhs)
-        ]
-    )
-
-
-def otfs_full_mmse(factor: np.ndarray, matched: np.ndarray) -> np.ndarray:
-    """Full MMSE on the OTFS link, as a delay-Doppler grid.
-
-    ``matched`` is the matched filter of the received OTFS frame.  The
-    modulator is unitary, so the per-symbol solution demodulated equals the
-    full MMSE solution on the equivalent channel.
-    """
-    return otfs_demodulate(mmse_solve(factor, matched))
-
-
-def ofdm_full_mmse(factor: np.ndarray, matched: np.ndarray) -> np.ndarray:
-    """Full MMSE on the plain OFDM link, as a time-frequency grid.
-
-    ``matched`` is the matched filter of the received OFDM frame.  The
-    unitary FFT of each symbol's solution equals the full MMSE solution on
-    that symbol's frequency-domain matrix ``F H_n F^H``.
-    """
-    return np.fft.fft(mmse_solve(factor, matched), axis=1, norm="ortho")
 
 
 @dataclass(frozen=True)

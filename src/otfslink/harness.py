@@ -156,12 +156,11 @@ def run_trial(
         if "otfs_fde" in enabled:
             errors["otfs_fde"] = _count_errors(stage_one.T, bits)
 
-    # the per-symbol receivers share the Grams' taps; only the two full-MMSE
-    # references scatter them into dense blocks, for one batched factorization
+    # the per-symbol receivers share the Grams' taps
     if enabled & {"otfs_fde_dde", "otfs_full_mmse", "ofdm_full_mmse"}:
         grams = chan.symbol_grams(cir)
-    if enabled & {"otfs_full_mmse", "ofdm_full_mmse"}:
-        factor = eq.mmse_factor(chan.symbol_channel_blocks(grams), var)
+    # full-MMSE receiver -> (its matched filter, the read-out of its solution)
+    full_mmse = {}
 
     if enabled & {"otfs_fde_dde", "otfs_full_mmse"}:
         matched = chan.matched_filter(cir, y_otfs)
@@ -170,8 +169,7 @@ def run_trial(
             estimate = eq.dde_equalize_circulant(otfs_demodulate(matched), stage_one, cancel)
             errors["otfs_fde_dde"] = _count_errors(estimate.T, bits)
         if "otfs_full_mmse" in enabled:
-            estimate = eq.otfs_full_mmse(factor, matched)
-            errors["otfs_full_mmse"] = _count_errors(estimate.T, bits)
+            full_mmse["otfs_full_mmse"] = (matched, lambda x: otfs_demodulate(x).T)
 
     if enabled & {"ofdm_single_tap", "ofdm_full_mmse"}:
         x_tf = symbols.reshape(shape)
@@ -180,9 +178,14 @@ def run_trial(
             equalized = fde_gains * tf_stage(y_ofdm)
             errors["ofdm_single_tap"] = _count_errors(equalized, bits)
         if "ofdm_full_mmse" in enabled:
-            matched = chan.matched_filter(cir, y_ofdm)
-            estimate = eq.ofdm_full_mmse(factor, matched)
-            errors["ofdm_full_mmse"] = _count_errors(estimate, bits)
+            full_mmse["ofdm_full_mmse"] = (chan.matched_filter(cir, y_ofdm), tf_stage)
+
+    # the full-MMSE references share one batched solve, one column each
+    if full_mmse:
+        rhs = np.stack([column for column, _ in full_mmse.values()], axis=-1)
+        solved = eq.mmse_solve(grams, var, rhs)
+        for k, (name, (_, read_out)) in enumerate(full_mmse.items()):
+            errors[name] = _count_errors(read_out(solved[..., k]), bits)
 
     return errors
 
@@ -220,6 +223,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[BerRecord]:
         for di in range(len(config.doppler_hz_list))
         for lo in range(0, config.n_trials, chunk)
     ]
+    # a fork-context pool starts every worker up front, so start no more
+    # than there are chunks
+    workers = min(workers, len(tasks))
     totals: dict[tuple[int, int], dict[str, int]] = {}
     if workers == 1:
         results = map(_run_chunk, tasks)
@@ -444,7 +450,7 @@ def table2_preset() -> ExperimentConfig:
     urban six-tap profile with a 5 us delay spread.
 
     Every receiver runs at this scale, since none forms an 8192-square
-    matrix: one trial with all five took about 0.30 s and 0.27 GB peak RSS
+    matrix: one trial with all five took about 0.10 s and 0.12 GB peak RSS
     on a 2-core Xeon with two BLAS threads.  The default list keeps the two
     full-MMSE references out.
     """

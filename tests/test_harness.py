@@ -238,6 +238,33 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             harness.run_sweep(toy_config(), workers=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        # a fork-context pool starts all of its workers at once; a fake
+        # pool records the size it was asked for and maps serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        config = toy_config(snr_db_list=(0.0, 10.0), doppler_hz_list=(0.0, 1000.0), n_trials=1)
+        serial = harness.run_sweep(config, workers=1)
+        assert harness.run_sweep(config, workers=16) == serial
+        assert harness.run_sweep(config, workers=3) == serial
+        assert sizes == [4, 3]
+        # a single chunk runs in this process
+        one_point = toy_config(n_trials=1)
+        assert harness.run_sweep(one_point, workers=16) == harness.run_sweep(one_point)
+        assert sizes == [4, 3]
+
 
 class TestCsv:
     def make_records(self):

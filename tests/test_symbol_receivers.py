@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,7 +78,6 @@ class Link:
 
         self.blocks = chan.symbol_channel_blocks(self.cir)
         self.grams = chan.symbol_grams(self.cir)
-        self.gram_blocks = chan.symbol_channel_blocks(self.grams)
 
 
 @pytest.fixture(
@@ -106,10 +106,9 @@ def test_frequency_matrices_conjugate_the_block_stack(link):
 
 
 def test_otfs_full_mmse_matches_dense(link):
-    factor = eq.mmse_factor(link.gram_blocks, link.var)
     matched = chan.matched_filter(link.cir, link.y_otfs)
     oracle = full_mmse(link.h_eq, link.y_dd, link.var)
-    estimate = eq.otfs_full_mmse(factor, matched)
+    estimate = otfs_demodulate(eq.mmse_solve(link.grams, link.var, matched[..., None])[..., 0])
     assert_allclose(estimate.ravel(order="F"), oracle, rtol=0, atol=1e-10)
 
 
@@ -120,9 +119,9 @@ def test_ofdm_full_mmse_matches_per_symbol_dense(link):
     oracle = np.empty((frame.n_doppler_bins, frame.n_subcarriers), dtype=complex)
     for n in range(frame.n_doppler_bins):
         oracle[n] = full_mmse(mats[n], y_tf[n], link.var)
-    factor = eq.mmse_factor(link.gram_blocks, link.var)
     matched = chan.matched_filter(link.cir, link.y_ofdm)
-    assert_allclose(eq.ofdm_full_mmse(factor, matched), oracle, rtol=0, atol=1e-10)
+    estimate = tf_stage(eq.mmse_solve(link.grams, link.var, matched[..., None])[..., 0])
+    assert_allclose(estimate, oracle, rtol=0, atol=1e-10)
 
 
 def test_matched_filter_matches_dense(link):
@@ -258,19 +257,22 @@ def test_circulant_kernels_reject_bad_arguments():
     cancel = eq.dde_build_circulant(grams, clip_threshold=0.0)
     with pytest.raises(ValueError):
         eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), cancel)
-    with pytest.raises(ValueError):
-        eq.mmse_factor(chan.symbol_channel_blocks(grams), -1.0)
+    rhs = np.zeros((4, 8, 1), dtype=complex)
+    for noise_var in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            eq.mmse_solve(grams, noise_var, rhs)
     with pytest.raises(ValueError):
         chan.matched_filter(grams, np.zeros((8, 4)))
 
 
 def test_all_zero_blocks_are_singular_at_zero_noise():
-    grams = chan.symbol_channel_blocks(chan.symbol_grams(_zero_taps()))
+    grams = chan.symbol_grams(_zero_taps())
+    ones = np.ones((4, 8, 2), dtype=complex)
     singular = r"normal matrix is singular \(noise_var=0\.0\)"
     with pytest.raises(np.linalg.LinAlgError, match=singular):
-        eq.mmse_factor(grams, 0.0)
+        eq.mmse_solve(grams, 0.0, ones)
     # any positive noise variance regularizes the same stack
-    assert_allclose(eq.mmse_factor(grams, 0.25), 0.5 * np.eye(8) + np.zeros((4, 1, 1)))
+    assert_allclose(eq.mmse_solve(grams, 0.25, ones), 4.0 * ones)
 
 
 def test_singular_channel_exits_two(monkeypatch, tmp_path, capsys):
@@ -316,3 +318,17 @@ def test_desk_trials_match_pinned_error_counts():
     trials = [harness.run_trial(config, 20.0, 1280.0, t) for t in range(8)]
     for name, counts in DESK_REFERENCE.items():
         assert tuple(trial[name] for trial in trials) == counts, name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("snr_db, doppler_hz", [(20.0, 1280.0), (0.0, 0.0)])
+def test_shared_full_mmse_solve_does_not_couple_the_links(snr_db, doppler_hz):
+    # the two full-MMSE references are columns of one batched solve; each
+    # must count the same errors alone as beside the other
+    pair = ("otfs_full_mmse", "ofdm_full_mmse")
+    desk = harness.desk_preset()
+    for trial in range(8):
+        together = harness.run_trial(replace(desk, equalizers=pair), snr_db, doppler_hz, trial)
+        for name in pair:
+            alone = harness.run_trial(replace(desk, equalizers=(name,)), snr_db, doppler_hz, trial)
+            assert alone == {name: together[name]}, (trial, name)
