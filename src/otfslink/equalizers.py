@@ -11,27 +11,28 @@ other baseline is full linear MMSE on either link.
 With per-symbol cyclic prefixes the time-domain channel is one circular
 tapped filter ``H_n`` per OFDM symbol, and both links' modulators are
 unitary.  The cancellation stage stays in that tap format: the Grams
-``G_n = H_n^H H_n``, their Doppler coupling (the delay-Doppler Gram), its
-clipping and the regenerated interference are all taps.  Only full MMSE,
-the reference receiver, scatters the Grams into dense blocks for one
-batched LU solve shared by both links.  Every frame in and out is an
-``(n_doppler_bins, n_subcarriers)`` array.
+``G_n = H_n^H H_n`` give their Doppler coupling (the delay-Doppler Gram),
+which is clipped and taken back to per-symbol taps, and the interference
+of the decisions is regenerated through the link's own chain: modulate,
+apply the taps, demodulate.  Only full MMSE, the reference receiver,
+scatters the Grams into dense blocks for one batched LU solve shared by
+both links.  Every frame in and out is an ``(n_doppler_bins,
+n_subcarriers)`` array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel as chan
 from .channel import TimeVaryingCir, apply_time_channel, doppler_coupling
 from .frame import qpsk_slice
+from .transforms import otfs_demodulate, otfs_modulate_fast
 
 FDE_MODES = ("magnitude", "mmse")
 
 
-def fde_build(cfr: np.ndarray, noise_var: float, mode: str = "magnitude") -> np.ndarray:
+def fde_build(cfr: np.ndarray, noise_var: float, mode: str) -> np.ndarray:
     """Single-tap gains from the channel frequency response.
 
     ``mode="magnitude"`` regularizes by the response magnitude,
@@ -89,27 +90,9 @@ def mmse_solve(grams: TimeVaryingCir, noise_var: float, rhs: np.ndarray) -> np.n
         ) from err
 
 
-@dataclass(frozen=True)
-class CirculantCancellation:
-    """Cancellation stage of the equivalent channel, stored as taps.
-
-    The cancellation matrix ``r_bar`` is ``h_eq^H h_eq`` with the diagonal
-    removed and entries below ``clip_threshold`` times the largest
-    off-diagonal magnitude zeroed; entry ``[(l, k), (l', k')]`` is
-    ``c[(k - k') mod N, l, l']``, each ``c[k]`` a tapped filter over delay.
-    ``spectrum`` holds those taps after an FFT of their gains over Doppler, so
-    ``r_bar @ d`` is a Doppler FFT, :func:`apply_time_channel` of
-    ``spectrum`` and an inverse FFT.  ``diag`` is the removed diagonal (real
-    and non-negative), one value per delay bin, for the final scaling.
-    """
-
-    spectrum: TimeVaryingCir
-    diag: np.ndarray
-
-
 def dde_build_circulant(
     grams: TimeVaryingCir, clip_threshold: float = 0.02
-) -> CirculantCancellation:
+) -> tuple[TimeVaryingCir, np.ndarray]:
     """Cancellation stage from the per-symbol Grams' taps.
 
     Entry ``[(l, k), (l', k')]`` of ``h_eq^H h_eq`` is
@@ -118,6 +101,12 @@ def dde_build_circulant(
     compares the magnitudes of every tap gain, the nonzero entries of ``c``.
     ``clip_threshold = 0`` keeps every off-diagonal entry; ``1`` keeps only
     the strongest.
+
+    Returns ``(taps, diag)``: the clipped coupling taken back to per-symbol
+    taps by the inverse of :func:`doppler_coupling`, so that modulating a
+    delay-Doppler grid, applying ``taps`` and demodulating applies the
+    cancellation matrix ``r_bar``; and the removed diagonal (real and
+    non-negative), one value per delay bin, for the final scaling.
     """
     if not 0.0 <= clip_threshold <= 1.0:
         raise ValueError("clip_threshold must lie in [0, 1]")
@@ -126,28 +115,27 @@ def dde_build_circulant(
     diag = coupling[0, 0].real.copy()
     coupling[0, 0] = 0.0
     coupling = _clip(coupling, clip_threshold)
-    return CirculantCancellation(
-        spectrum=TimeVaryingCir(grams.delays, np.fft.fft(coupling, axis=1)),
-        diag=diag,
-    )
+    taps = np.fft.ifft(coupling, axis=1, norm="forward")
+    return TimeVaryingCir(grams.delays, taps), diag
 
 
 def dde_equalize_circulant(
     matched: np.ndarray,
     stage_one_symbols: np.ndarray,
-    cancel: CirculantCancellation,
+    taps: TimeVaryingCir,
+    diag: np.ndarray,
 ) -> np.ndarray:
     """One decision-feedback pass in the delay-Doppler domain.
 
-    ``matched`` is the delay-Doppler matched-filter output ``h_eq^H y_dd``,
-    the demodulated matched filter; ``stage_one_symbols`` seed the hard
-    decisions whose regenerated interference is subtracted from it.  Each
-    entry is then divided by its matched-filter gain, restoring the
-    constellation scale.  Both grids and the result are ``(n_doppler_bins,
-    n_subcarriers)`` arrays.
+    ``matched`` is the time-domain matched filter ``H_n^H y_n`` of the
+    received frame; ``stage_one_symbols`` seed the hard decisions, whose
+    interference is regenerated through the link's own chain (modulate,
+    apply ``taps``) and subtracted before one demodulation.  Each entry is
+    then divided by its matched-filter gain ``diag``, restoring the
+    constellation scale.  All grids are ``(n_doppler_bins, n_subcarriers)``
+    arrays.
     """
     _, decided = qpsk_slice(stage_one_symbols)
-    decided_freq = np.fft.fft(decided.reshape(matched.shape), axis=0)
-    regenerated = apply_time_channel(cancel.spectrum, decided_freq)
-    estimate = matched - np.fft.ifft(regenerated, axis=0)
-    return estimate / np.where(cancel.diag > 0.0, cancel.diag, 1.0)
+    regenerated = apply_time_channel(taps, otfs_modulate_fast(decided.reshape(matched.shape)))
+    estimate = otfs_demodulate(matched - regenerated)
+    return estimate / np.where(diag > 0.0, diag, 1.0)

@@ -97,20 +97,20 @@ class TestFdeBuild:
         with pytest.raises(ValueError, match="mode"):
             fde_build(np.ones((1, 1)), 0.0, mode="zf")
         with pytest.raises(ValueError, match="noise_var"):
-            fde_build(np.ones((1, 1)), -0.1)
+            fde_build(np.ones((1, 1)), -0.1, mode="magnitude")
 
 
 class TestFdeApply:
     # the gains multiply the time-frequency grid entry by entry
     def test_unit_gains_passthrough(self):
         grid = np.arange(8, dtype=complex).reshape(4, 2)
-        coeffs = fde_build(np.ones((4, 2), dtype=complex), 0.0)
+        coeffs = fde_build(np.ones((4, 2), dtype=complex), 0.0, mode="magnitude")
         assert_allclose(coeffs * grid, grid, atol=0)
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
         cfr = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        coeffs = fde_build(cfr, 0.1)
+        coeffs = fde_build(cfr, 0.1, mode="magnitude")
         y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         assert_allclose(coeffs * (3.0 * y), 3.0 * (coeffs * y), atol=1e-12)
 
@@ -123,7 +123,7 @@ class TestFdeApply:
         assert_allclose(coeffs * (cfr * tf), tf, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        coeffs = fde_build(np.ones((4, 2), dtype=complex), 0.0)
+        coeffs = fde_build(np.ones((4, 2), dtype=complex), 0.0, mode="magnitude")
         with pytest.raises(ValueError):
             coeffs * np.ones((2, 4), dtype=complex)
 
@@ -269,7 +269,7 @@ class TestOfdmSingleTap:
             shape = (config.n_doppler_bins, config.n_subcarriers)
             x = ofdm_modulate(qpsk_map(bits, config).reshape(shape))
             y = apply_time_channel(cir, x) + awgn(shape, var, rng)
-            hat, _ = qpsk_slice(fde_build(cfr, var) * tf_stage(y))
+            hat, _ = qpsk_slice(fde_build(cfr, var, mode="magnitude") * tf_stage(y))
             errors += int(np.count_nonzero(hat != bits))
             total += bits.size
         ber = errors / total

@@ -31,7 +31,7 @@ from otfslink import channel as chan
 from otfslink import equalizers as eq
 from otfslink import harness
 from otfslink.cli import main
-from otfslink.frame import qpsk_map, random_bits
+from otfslink.frame import qpsk_map, qpsk_slice, random_bits
 from otfslink.transforms import (
     dsft_inverse,
     ofdm_modulate,
@@ -176,29 +176,22 @@ def test_doppler_coupling_of_blocks_is_the_equivalent_channel(link):
     assert_allclose(expand_circulant(coupling), link.h_eq, rtol=0, atol=1e-12)
 
 
-def _coupling(cancel: eq.CirculantCancellation) -> np.ndarray:
-    """The dense ``(N, M, M)`` coupling of a cancellation stage, the inverse
-    Doppler FFT of its spectrum."""
-    delays, spectrum = cancel.spectrum.delays, cancel.spectrum.gains
-    taps = chan.TimeVaryingCir(delays, np.fft.ifft(spectrum, axis=1))
-    return chan.symbol_channel_blocks(taps)
-
-
 def test_circulant_gram_matches_dense(link):
-    cancel = eq.dde_build_circulant(link.grams, clip_threshold=0.0)
-    diag = np.repeat(cancel.diag, link.frame.n_doppler_bins)
-    gram = expand_circulant(_coupling(cancel)) + np.diag(diag)
+    taps, diag = eq.dde_build_circulant(link.grams, clip_threshold=0.0)
+    coupling = chan.symbol_channel_blocks(chan.doppler_coupling(taps))
+    diag = np.repeat(diag, link.frame.n_doppler_bins)
+    gram = expand_circulant(coupling) + np.diag(diag)
     assert_allclose(gram, link.h_eq.conj().T @ link.h_eq, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("clip", CLIPS)
 def test_circulant_cancellation_matches_dense(link, clip):
-    cancel = eq.dde_build_circulant(link.grams, clip)
+    taps, diag = eq.dde_build_circulant(link.grams, clip)
 
     # the same clipping rule on the exactly block-circulant Gram gives the
-    # same matrix, zero for zero: its coupling, read back into the
-    # spectrum's taps, has the spectrum's Doppler FFT bit for bit, and it
-    # holds nothing off those taps
+    # same matrix, zero for zero: its coupling, read back into taps on the
+    # returned delays, gives the returned taps' gains bit for bit through
+    # the inverse Doppler FFT, and it holds nothing off those delays
     coupling = chan.symbol_channel_blocks(chan.doppler_coupling(link.grams))
     exact = dde_build(link.h_eq, clip, gram=expand_circulant(coupling))
     n_dop, n_sub = link.frame.n_doppler_bins, link.frame.n_subcarriers
@@ -206,11 +199,10 @@ def test_circulant_cancellation_matches_dense(link, clip):
     exact_coupling = exact.r_bar.reshape(n_sub, n_dop, n_sub, n_dop)[..., 0]
     exact_coupling = exact_coupling.transpose(1, 0, 2)
     s = np.arange(n_sub)
-    delays = cancel.spectrum.delays
-    taps = np.stack([exact_coupling[:, s, (s - q) % n_sub] for q in delays])
-    assert_array_equal(cancel.spectrum.gains, np.fft.fft(taps, axis=1))
-    exact_taps = chan.TimeVaryingCir(delays, taps)
-    assert_array_equal(chan.symbol_channel_blocks(exact_taps), exact_coupling)
+    exact_taps = np.stack([exact_coupling[:, s, (s - q) % n_sub] for q in taps.delays])
+    assert_array_equal(taps.gains, np.fft.ifft(exact_taps, axis=1, norm="forward"))
+    exact_cir = chan.TimeVaryingCir(taps.delays, exact_taps)
+    assert_array_equal(chan.symbol_channel_blocks(exact_cir), exact_coupling)
     r_bar = exact.r_bar
 
     # against the fully dense path, only entries whose magnitude ties the
@@ -227,23 +219,35 @@ def test_circulant_cancellation_matches_dense(link, clip):
     if 0.0 < clip < 1.0:
         assert not differs.any()
     assert_allclose(r_bar[~differs], dense.r_bar[~differs], rtol=0, atol=1e-10)
-    assert_allclose(np.repeat(cancel.diag, n_dop), dense.diag, rtol=0, atol=1e-10)
+    assert_allclose(np.repeat(diag, n_dop), dense.diag, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("clip", CLIPS[:3])
 def test_circulant_equalize_matches_dense(link, clip):
-    cancel = eq.dde_build_circulant(link.grams, clip)
+    taps, diag = eq.dde_build_circulant(link.grams, clip)
     matched = chan.matched_filter(link.cir, link.y_otfs)
-    matched_dd = otfs_demodulate(matched)
     dense = dde_build(link.h_eq, clip)
 
-    first = eq.dde_equalize_circulant(matched_dd, link.stage_one, cancel)
+    first = eq.dde_equalize_circulant(matched, link.stage_one, taps, diag)
     stage_one = link.stage_one.ravel(order="F")
     oracle = dde_equalize(link.y_dd, stage_one, link.h_eq, dense)
     assert_allclose(first.ravel(order="F"), oracle, rtol=0, atol=1e-10)
-    second = eq.dde_equalize_circulant(matched_dd, first, cancel)
+    second = eq.dde_equalize_circulant(matched, first, taps, diag)
     oracle = dde_equalize(link.y_dd, oracle, link.h_eq, dense)
     assert_allclose(second.ravel(order="F"), oracle, rtol=0, atol=1e-10)
+
+
+def test_circulant_genie_cancellation_identity(taps):
+    # at clip 0 and fed the transmitted symbols, the cancellation removes
+    # every cross term of a noiseless frame, leaving exactly those symbols
+    cir, _, x = taps
+    _, symbols = qpsk_slice(x)
+    symbols = symbols.reshape(x.shape)
+    y = chan.apply_time_channel(cir, otfs_modulate_fast(symbols))
+    cancel_taps, diag = eq.dde_build_circulant(chan.symbol_grams(cir), clip_threshold=0.0)
+    matched = chan.matched_filter(cir, y)
+    estimate = eq.dde_equalize_circulant(matched, symbols, cancel_taps, diag)
+    assert_allclose(estimate, symbols, rtol=0, atol=1e-12)
 
 
 def _zero_taps() -> chan.TimeVaryingCir:
@@ -254,9 +258,9 @@ def test_circulant_kernels_reject_bad_arguments():
     grams = chan.symbol_grams(_zero_taps())
     with pytest.raises(ValueError):
         eq.dde_build_circulant(grams, clip_threshold=1.5)
-    cancel = eq.dde_build_circulant(grams, clip_threshold=0.0)
+    taps, diag = eq.dde_build_circulant(grams, clip_threshold=0.0)
     with pytest.raises(ValueError):
-        eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), cancel)
+        eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), taps, diag)
     rhs = np.zeros((4, 8, 1), dtype=complex)
     for noise_var in (-1.0, np.nan):
         with pytest.raises(ValueError):
@@ -318,6 +322,31 @@ def test_desk_trials_match_pinned_error_counts():
     trials = [harness.run_trial(config, 20.0, 1280.0, t) for t in range(8)]
     for name, counts in DESK_REFERENCE.items():
         assert tuple(trial[name] for trial in trials) == counts, name
+
+
+# otfs_fde_dde error counts at the same seed, trials and point, for the
+# other clip thresholds and first-stage modes; clip 1 keeps only the
+# coupling's peak and its ties, so rounding alone can move what it cancels
+DDE_REFERENCE = {
+    ("magnitude", 0.0): (6, 0, 59, 29, 12, 115, 10, 148),
+    ("magnitude", 1.0): (282, 183, 355, 329, 287, 379, 282, 384),
+    ("mmse", 0.0): (0, 0, 0, 0, 0, 0, 0, 0),
+    ("mmse", 0.02): (0, 0, 0, 0, 0, 0, 0, 0),
+    ("mmse", 1.0): (282, 182, 355, 329, 288, 379, 282, 383),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fde_mode, clip", sorted(DDE_REFERENCE))
+def test_desk_dde_trials_match_pinned_error_counts(fde_mode, clip):
+    config = replace(
+        harness.desk_preset(),
+        equalizers=("otfs_fde_dde",),
+        fde_mode=fde_mode,
+        clip_threshold=clip,
+    )
+    counts = tuple(harness.run_trial(config, 20.0, 1280.0, t)["otfs_fde_dde"] for t in range(8))
+    assert counts == DDE_REFERENCE[fde_mode, clip]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
