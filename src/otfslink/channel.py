@@ -20,6 +20,7 @@ dense ``(N, M, M)`` stack.  No ``frame_size``-square matrix is formed here.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -144,11 +145,16 @@ def generate_cir(
     post-CP sample times, in the frame layout of :class:`TimeVaryingCir`.
     Sample ``s`` of symbol ``n`` lies at ``n * (n_subcarriers + cp_len) +
     cp_len + s``, so each sinusoid factors into a per-symbol phasor times a
-    per-offset phasor: a tap is the product of an ``(n_doppler_bins,
-    N_SINUSOIDS)`` and an ``(N_SINUSOIDS, n_subcarriers)`` phasor table,
-    ``(n_doppler_bins + n_subcarriers) * N_SINUSOIDS`` exponentials instead
-    of one per sinusoid and sample.  The product's rounding does not depend
-    on the BLAS thread count.
+    per-offset phasor, and the offset ``s = W * c + b``, with ``W`` the
+    smallest divisor of ``n_subcarriers`` not below its square root, splits
+    the per-offset phasor again into a coarse one (per block ``c``) and a
+    fine one (per ``b < W``).  Three small phasor tables per tap,
+    ``(n_doppler_bins + n_subcarriers / W + W) * N_SINUSOIDS``
+    exponentials, replace one exponential per sinusoid and sample.  All
+    taps are evaluated together once their seed streams are drawn: one
+    broadcast product of the per-symbol and coarse tables, then one
+    batched matrix product with the fine table, whose rounding does not
+    depend on the BLAS thread count.
     ``doppler_hz = 0`` collapses every tap to a random complex constant.
     """
     if not 0 <= doppler_hz < np.inf:
@@ -165,19 +171,30 @@ def generate_cir(
     tap_seeds = seed_seq.spawn(len(profile.delays))
 
     # taps are stored by ascending delay; tap k keeps the k-th seed stream
+    # and draws its angles, then its phases
     order = sorted(range(len(profile.delays)), key=profile.delays.__getitem__)
-    n_sub, cp = config.n_subcarriers, config.cp_len
-    symbol_times = np.arange(config.n_doppler_bins) * (n_sub + cp) / config.sample_rate
-    offset_times = (cp + np.arange(n_sub)) / config.sample_rate
-    gains = np.empty((len(order), config.n_doppler_bins, n_sub), dtype=np.complex128)
-    for tap, k in zip(gains, order):
-        rng = np.random.default_rng(tap_seeds[k])
-        angles = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
-        phases = rng.uniform(0.0, 2.0 * np.pi, N_SINUSOIDS)
-        rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
-        per_symbol = np.exp(1j * (np.outer(symbol_times, rates) + phases))
-        per_offset = np.exp(1j * np.outer(rates, offset_times))
-        tap[:] = np.sqrt(profile.powers[k] / N_SINUSOIDS) * (per_symbol @ per_offset)
+    draws = [
+        np.random.default_rng(tap_seeds[k]).uniform(0.0, 2.0 * np.pi, (2, N_SINUSOIDS))
+        for k in order
+    ]
+    angles, phases = np.stack(draws, axis=1)
+    rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
+    n_dop, n_sub = config.n_doppler_bins, config.n_subcarriers
+    cp, fs = config.cp_len, config.sample_rate
+    # the wider factor indexes the fine table's columns, so the product stays
+    # a matrix product, one block wide at a prime n_subcarriers
+    blocks = max(k for k in range(1, math.isqrt(n_sub) + 1) if n_sub % k == 0)
+    width = n_sub // blocks
+    symbol_times = np.arange(n_dop) * (n_sub + cp) / fs
+    block_times = (cp + width * np.arange(blocks)) / fs
+    per_symbol = np.exp(1j * (symbol_times[:, None] * rates[:, None, :] + phases[:, None, :]))
+    coarse = np.exp(1j * (block_times[:, None] * rates[:, None, :]))
+    fine = np.exp(1j * (rates[:, :, None] * (np.arange(width) / fs)))
+    # row (n, c) of the left table by column b of the fine one is sample
+    # width * c + b of symbol n
+    left = (per_symbol[:, :, None, :] * coarse[:, None, :, :]).reshape(len(order), -1, N_SINUSOIDS)
+    gains = (left @ fine).reshape(len(order), n_dop, n_sub)
+    gains *= np.sqrt(np.array(profile.powers)[order] / N_SINUSOIDS)[:, None, None]
     return TimeVaryingCir(delays=tuple(profile.delays[k] for k in order), gains=gains)
 
 
@@ -287,13 +304,23 @@ def symbol_grams(cir: TimeVaryingCir) -> TimeVaryingCir:
     ``conj(g_d) * g_e``, rolled back ``d`` samples, on delay ``(e - d) mod
     n_subcarriers``; delay 0, always present, holds the diagonal."""
     n_sub = cir.gains.shape[2]
-    grams: dict[int, np.ndarray] = {}
+    delays = sorted({(e - d) % n_sub for d in cir.delays for e in cir.delays})
+    row = {q: i for i, q in enumerate(delays)}
+    # filled rather than np.zeros: a calloc'd array faults each page twice,
+    # on the first read and on the first write
+    grams = np.empty((len(delays), *cir.gains.shape[1:]), dtype=np.complex128)
+    grams.fill(0.0)
+    product = np.empty(cir.gains.shape[1:], dtype=np.complex128)
     for d, g_d in zip(cir.delays, cir.gains):
+        d %= n_sub
+        conj = g_d.conj()
         for e, g_e in zip(cir.delays, cir.gains):
-            q = (e - d) % n_sub
-            grams[q] = grams.get(q, 0.0) + np.roll(g_d.conj() * g_e, -d, axis=1)
-    delays = tuple(sorted(grams))
-    return TimeVaryingCir(delays=delays, gains=np.stack([grams[q] for q in delays]))
+            acc = grams[row[(e - d) % n_sub]]
+            np.multiply(conj, g_e, out=product)
+            # the roll back by d as two slices
+            acc[:, : n_sub - d] += product[:, d:]
+            acc[:, n_sub - d :] += product[:, :d]
+    return TimeVaryingCir(delays=tuple(delays), gains=grams)
 
 
 def doppler_coupling(cir: TimeVaryingCir) -> TimeVaryingCir:

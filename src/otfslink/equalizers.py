@@ -22,6 +22,8 @@ n_subcarriers)`` array.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from . import channel as chan
@@ -53,14 +55,39 @@ def fde_build(cfr: np.ndarray, noise_var: float, mode: str) -> np.ndarray:
     return gains
 
 
-def _clip(coupling: np.ndarray, clip_threshold: float) -> np.ndarray:
-    """Zero entries below ``clip_threshold`` times the largest magnitude."""
+def _clip(
+    coupling: np.ndarray, clip_threshold: float, partner: Callable[[np.ndarray], np.ndarray]
+) -> None:
+    """Zero, in place, the Hermitian pairs of entries whose magnitudes both
+    lie below ``clip_threshold`` times the largest magnitude.
+
+    ``partner(values)`` returns each entry's partner in an array laid out
+    like ``coupling``.  The two magnitudes are equal but for rounding, so
+    deciding a pair on the larger one keeps both entries or neither, and
+    the clipped matrix stays Hermitian.
+    """
     if clip_threshold > 0.0:
         mags = np.abs(coupling)
         peak = mags.max()
         if peak > 0.0:
-            return np.where(mags < clip_threshold * peak, 0.0, coupling)
-    return coupling
+            small = mags < clip_threshold * peak
+            small &= partner(small)
+            np.copyto(coupling, 0.0, where=small)
+
+
+def _coupling_partner(values: np.ndarray, delays: tuple[int, ...]) -> np.ndarray:
+    """Each Gram coupling entry's partner: ``(q, k, s)`` pairs with ``(-q
+    mod M, -k mod N, (s - q) mod M)``, by two slices per delay and Doppler
+    half."""
+    n_sub = values.shape[2]
+    row = {q: i for i, q in enumerate(delays)}
+    partner = np.empty_like(values)
+    for out, q in zip(partner, delays):
+        src = values[row[-q % n_sub]]
+        for dst, flipped in ((out[:1], src[:1]), (out[1:], src[:0:-1])):
+            dst[:, q:] = flipped[:, : n_sub - q]
+            dst[:, :q] = flipped[:, n_sub - q :]
+    return partner
 
 
 def mmse_solve(grams: TimeVaryingCir, noise_var: float, rhs: np.ndarray) -> np.ndarray:
@@ -98,9 +125,10 @@ def dde_build_circulant(
     Entry ``[(l, k), (l', k')]`` of ``h_eq^H h_eq`` is
     ``c[(k - k') mod N, l, l']`` with ``c`` the :func:`doppler_coupling` of
     the Grams; its diagonal is the delay-0 tap at Doppler 0.  Clipping
-    compares the magnitudes of every tap gain, the nonzero entries of ``c``.
+    compares the magnitudes of every tap gain, the nonzero entries of ``c``,
+    each pair of Hermitian partners on the larger of its two magnitudes.
     ``clip_threshold = 0`` keeps every off-diagonal entry; ``1`` keeps only
-    the strongest.
+    the strongest pairs.
 
     Returns ``(taps, diag)``: the clipped coupling taken back to per-symbol
     taps by the inverse of :func:`doppler_coupling`, so that modulating a
@@ -110,11 +138,14 @@ def dde_build_circulant(
     """
     if not 0.0 <= clip_threshold <= 1.0:
         raise ValueError("clip_threshold must lie in [0, 1]")
+    n_sub = grams.gains.shape[2]
+    if {-q % n_sub for q in grams.delays} != set(grams.delays):
+        raise ValueError("Gram delays must be closed under negation mod n_subcarriers")
     coupling = doppler_coupling(grams).gains
     # symbol_grams always holds delay 0, the first of its ascending delays
     diag = coupling[0, 0].real.copy()
     coupling[0, 0] = 0.0
-    coupling = _clip(coupling, clip_threshold)
+    _clip(coupling, clip_threshold, lambda values: _coupling_partner(values, grams.delays))
     taps = np.fft.ifft(coupling, axis=1, norm="forward")
     return TimeVaryingCir(grams.delays, taps), diag
 

@@ -106,7 +106,7 @@ def qpsk_map(bits: np.ndarray, config: FrameConfig) -> np.ndarray:
         raise ValueError(
             f"expected {config.bits_per_frame} bits, got shape {bits.shape}"
         )
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     return ((1.0 - 2.0 * bits[0::2]) + 1j * (1.0 - 2.0 * bits[1::2])) / np.sqrt(2.0)
 

@@ -394,7 +394,8 @@ def band_support(
 class CancellationMatrix:
     """Off-diagonal interference coupling of the equivalent channel.
 
-    ``r_bar`` is ``h_eq^H h_eq`` with the diagonal removed and entries below
+    ``r_bar`` is ``h_eq^H h_eq`` with the diagonal removed and the entry
+    pairs ``[i, j]``, ``[j, i]`` whose larger magnitude lies below
     ``clip_threshold`` times the largest off-diagonal magnitude zeroed;
     ``diag`` keeps the removed diagonal (real and non-negative) for the
     final per-symbol scaling.
@@ -421,7 +422,9 @@ def dde_build(
     if gram is None:
         gram = h_eq.conj().T @ h_eq
     diag = np.real(np.diag(gram)).copy()
-    r_bar = _clip(gram - np.diag(np.diag(gram)), clip_threshold)
+    # a Hermitian matrix pairs each entry with its transpose
+    r_bar = gram - np.diag(np.diag(gram))
+    _clip(r_bar, clip_threshold, np.transpose)
     return CancellationMatrix(r_bar=r_bar, diag=diag)
 
 

@@ -187,6 +187,20 @@ class TestGenerateCir:
         for layout in (without_prefixes, prefixes_left_in):
             assert np.max(np.abs(cir.gains - layout)) > 1e-6
 
+    @pytest.mark.parametrize("n_subcarriers", [12, 7])
+    @pytest.mark.parametrize("doppler_hz", [0.0, 1280.0, 6000.0])
+    def test_offsets_split_on_any_subcarrier_count(self, n_subcarriers, doppler_hz):
+        # the offsets split into blocks of the smallest divisor of M not
+        # below sqrt(M): 3 blocks of 4 at M = 12, one block of 7 at M = 7
+        frame = FrameConfig(n_subcarriers, 4, max_delay_taps=3, cp_len=2, sample_rate=64e3)
+        cir = fast_cir(THREE_TAPS, doppler_hz, frame, seed=31)
+        track = physical_gains(THREE_TAPS, doppler_hz, frame, seed=31)
+        per_symbol = track.reshape(3, 4, n_subcarriers + 2)[:, :, 2:]
+        if doppler_hz == 0.0:
+            assert_array_equal(cir.gains, per_symbol)
+        else:
+            assert_allclose(cir.gains, per_symbol, rtol=0, atol=1e-12)
+
     def test_gains_do_not_depend_on_blas_threads(self):
         # each tap is a BLAS product of two phasor tables; a fresh process
         # per thread count, since OpenBLAS reads it once at load

@@ -222,6 +222,32 @@ def test_circulant_cancellation_matches_dense(link, clip):
     assert_allclose(np.repeat(diag, n_dop), dense.diag, rtol=0, atol=1e-10)
 
 
+def _hermitian_partners(coupling: np.ndarray, delays: tuple[int, ...]) -> np.ndarray:
+    """Entry ``(q, k, s)`` of a Gram coupling taken from its partner ``(-q
+    mod M, -k mod N, (s - q) mod M)``, by one fancy-index gather."""
+    n_dop, n_sub = coupling.shape[1:]
+    rows = np.array([delays.index(-q % n_sub) for q in delays])
+    dopplers = -np.arange(n_dop) % n_dop
+    samples = (np.arange(n_sub) - np.array(delays)[:, None]) % n_sub
+    return coupling[rows[:, None, None], dopplers[None, :, None], samples[:, None, :]]
+
+
+@pytest.mark.parametrize("clip", CLIPS)
+def test_circulant_clip_keeps_whole_hermitian_pairs(link, clip):
+    coupling = chan.doppler_coupling(link.grams).gains
+    peak = np.abs(coupling).max()
+    # the pair map is the Gram's Hermitian symmetry, exact but for rounding
+    partners = _hermitian_partners(coupling, link.grams.delays)
+    assert_allclose(partners.conj(), coupling, rtol=0, atol=1e-15 * peak)
+    taps, _ = eq.dde_build_circulant(link.grams, clip)
+    # kept entries are at least clip * peak, clipped ones come back from the
+    # inverse Doppler FFT as rounding; delay 0 at Doppler 0 is the diagonal
+    kept = np.abs(chan.doppler_coupling(taps).gains) > 1e-9 * peak
+    assert not kept[0, 0].any()
+    assert kept.any()
+    assert_array_equal(kept, _hermitian_partners(kept, link.grams.delays))
+
+
 @pytest.mark.parametrize("clip", CLIPS[:3])
 def test_circulant_equalize_matches_dense(link, clip):
     taps, diag = eq.dde_build_circulant(link.grams, clip)
@@ -258,6 +284,10 @@ def test_circulant_kernels_reject_bad_arguments():
     grams = chan.symbol_grams(_zero_taps())
     with pytest.raises(ValueError):
         eq.dde_build_circulant(grams, clip_threshold=1.5)
+    # delay 1 without its Hermitian partner, delay 7, is no Gram
+    one_sided = chan.TimeVaryingCir((0, 1), np.zeros((2, 4, 8), dtype=complex))
+    with pytest.raises(ValueError, match="closed under negation"):
+        eq.dde_build_circulant(one_sided, clip_threshold=0.5)
     taps, diag = eq.dde_build_circulant(grams, clip_threshold=0.0)
     with pytest.raises(ValueError):
         eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), taps, diag)
@@ -326,13 +356,14 @@ def test_desk_trials_match_pinned_error_counts():
 
 # otfs_fde_dde error counts at the same seed, trials and point, for the
 # other clip thresholds and first-stage modes; clip 1 keeps only the
-# coupling's peak and its ties, so rounding alone can move what it cancels
+# coupling's peak pairs, each Hermitian pair decided on its larger
+# magnitude, so both copies of the peak survive whatever the rounding
 DDE_REFERENCE = {
     ("magnitude", 0.0): (6, 0, 59, 29, 12, 115, 10, 148),
-    ("magnitude", 1.0): (282, 183, 355, 329, 287, 379, 282, 384),
+    ("magnitude", 1.0): (282, 184, 355, 330, 287, 379, 282, 384),
     ("mmse", 0.0): (0, 0, 0, 0, 0, 0, 0, 0),
     ("mmse", 0.02): (0, 0, 0, 0, 0, 0, 0, 0),
-    ("mmse", 1.0): (282, 182, 355, 329, 288, 379, 282, 383),
+    ("mmse", 1.0): (282, 183, 355, 330, 288, 379, 282, 383),
 }
 
 
@@ -347,6 +378,32 @@ def test_desk_dde_trials_match_pinned_error_counts(fde_mode, clip):
     )
     counts = tuple(harness.run_trial(config, 20.0, 1280.0, t)["otfs_fde_dde"] for t in range(8))
     assert counts == DDE_REFERENCE[fde_mode, clip]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fde_mode", ["magnitude", "mmse"])
+def test_clip_one_counts_survive_a_one_ulp_change_of_the_grams(monkeypatch, fde_mode):
+    # clip 1 keeps the peak pair of a coupling whose two copies of the peak
+    # differ only by rounding; moving every Gram gain by one ulp, up or
+    # down at random, must leave every count as pinned
+    symbol_grams = chan.symbol_grams
+    rng = np.random.default_rng(7)
+
+    def perturbed_grams(cir):
+        grams = symbol_grams(cir)
+        up = rng.random((2, *grams.gains.shape)) < 0.5
+        real, imag = (
+            np.nextafter(part, np.where(toward, np.inf, -np.inf))
+            for part, toward in zip((grams.gains.real, grams.gains.imag), up)
+        )
+        return chan.TimeVaryingCir(grams.delays, real + 1j * imag)
+
+    monkeypatch.setattr(chan, "symbol_grams", perturbed_grams)
+    config = replace(
+        harness.desk_preset(), equalizers=("otfs_fde_dde",), fde_mode=fde_mode, clip_threshold=1.0
+    )
+    counts = tuple(harness.run_trial(config, 20.0, 1280.0, t)["otfs_fde_dde"] for t in range(8))
+    assert counts == DDE_REFERENCE[fde_mode, 1.0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
