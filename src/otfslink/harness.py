@@ -451,8 +451,8 @@ def table2_preset() -> ExperimentConfig:
 
     Every receiver runs at this scale, since none forms an 8192-square
     matrix.  On a 2-core Xeon at one or two BLAS threads, the median
-    ``run_trial`` frame at 20 dB and 6000 Hz took about 21-24 ms with the
-    default list and 0.20-0.25 s with all five receivers, 0.12 GB peak RSS.
+    ``run_trial`` frame at 20 dB and 6000 Hz took about 13-16 ms with the
+    default list and 0.18-0.27 s with all five receivers, 0.12 GB peak RSS.
     The default list keeps the two full-MMSE references out.
     """
     frame = FrameConfig(

@@ -6,10 +6,13 @@ exported names keeps them from drifting back into the package.
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import otfslink
 
@@ -82,3 +85,58 @@ def test_runtime_imports_no_scipy():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+
+def unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+# os.confstr on macOS, on a C library that leaves the name undefined, on musl,
+# and on Windows, which has no confstr
+NOT_GLIBC = {
+    "unknown-name": unknown_name,
+    "undefined": lambda name: None,
+    "musl": lambda name: "musl 1.2.4",
+    "no-confstr": None,
+}
+
+
+def fake_cdll(monkeypatch) -> list:
+    import ctypes
+
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    def cdll(name):
+        calls.append(name)
+        return Libc()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    return calls
+
+
+@pytest.mark.parametrize("confstr", NOT_GLIBC.values(), ids=NOT_GLIBC.keys())
+def test_allocator_policy_is_a_no_op_off_glibc(monkeypatch, confstr):
+    calls = fake_cdll(monkeypatch)
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr")
+    else:
+        monkeypatch.setattr(os, "confstr", confstr)
+    otfslink._keep_freed_heap()
+    assert calls == []
+    reloaded = importlib.reload(otfslink)
+    assert calls == []
+    assert sorted(reloaded.__all__) == RUNTIME_NAMES
+
+
+def test_allocator_policy_sets_the_top_pad_on_glibc(monkeypatch):
+    calls = fake_cdll(monkeypatch)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    otfslink._keep_freed_heap()
+    # M_TOP_PAD is -2 in malloc.h
+    assert calls == [None, (-2, 32 << 20)]

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import build_equivalent_channel, build_time_channel_matrix
+import otfslink
 from otfslink import FrameConfig, TapProfile, fixed_cir, generate_cir, single_tap_profile
 from otfslink import harness
 from otfslink.cli import main
@@ -19,6 +24,14 @@ TOY_FRAME = FrameConfig(
     n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
 )
 THREE_TAPS = TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
+
+
+def on_glibc_linux() -> bool:
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    return sys.platform.startswith("linux") and libc.startswith("glibc")
 
 
 def toy_config(**overrides) -> harness.ExperimentConfig:
@@ -185,6 +198,40 @@ class TestRunTrial:
 
         monkeypatch.setattr(harness.chan, "symbol_channel_blocks", no_dense_blocks)
         assert harness.run_trial(config, snr_db, doppler_hz, 0) == expected
+
+    @pytest.mark.skipif(not on_glibc_linux(), reason="the allocator policy is glibc's")
+    def test_steady_state_table2_frames_take_no_page_faults(self):
+        # a fresh process, so that the suite's own allocations do not shape
+        # the heap; glibc trimming the freed frame arrays cost 540 faults per
+        # frame on the table2_fast list and 3,433 on the default list
+        script = (
+            "import resource, warnings\n"
+            "from dataclasses import replace\n"
+            "from otfslink import harness\n"
+            "warnings.simplefilter('ignore', RuntimeWarning)\n"
+            "table2 = harness.table2_preset()\n"
+            "fast = replace(table2, equalizers=('otfs_fde', 'ofdm_single_tap'))\n"
+            "for config, n_frames in ((fast, 20), (table2, 5)):\n"
+            "    for trial in range(3):\n"
+            "        harness.run_trial(config, 20.0, 6000.0, trial)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    for trial in range(3, 3 + n_frames):\n"
+            "        harness.run_trial(config, 20.0, 6000.0, trial)\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    print((after - before) / n_frames)\n"
+        )
+        src = str(Path(otfslink.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        fast_faults, default_faults = map(float, done.stdout.split())
+        assert fast_faults < 50
+        assert default_faults < 50
 
 
 class TestRunSweep:
