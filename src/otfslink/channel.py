@@ -302,14 +302,13 @@ def symbol_channel_blocks(cir: TimeVaryingCir) -> np.ndarray:
 def symbol_grams(cir: TimeVaryingCir) -> TimeVaryingCir:
     """Per-symbol Grams ``G_n = H_n^H H_n`` as taps: pair ``(d, e)`` adds
     ``conj(g_d) * g_e``, rolled back ``d`` samples, on delay ``(e - d) mod
-    n_subcarriers``; delay 0, always present, holds the diagonal."""
+    n_subcarriers``; delay 0, always present, holds the diagonal.  Every
+    pair accumulates into one zeroed ``(taps, n_doppler_bins,
+    n_subcarriers)`` array through one reused product buffer."""
     n_sub = cir.gains.shape[2]
     delays = sorted({(e - d) % n_sub for d in cir.delays for e in cir.delays})
     row = {q: i for i, q in enumerate(delays)}
-    # filled rather than np.zeros: a calloc'd array faults each page twice,
-    # on the first read and on the first write
-    grams = np.empty((len(delays), *cir.gains.shape[1:]), dtype=np.complex128)
-    grams.fill(0.0)
+    grams = np.zeros((len(delays), *cir.gains.shape[1:]), dtype=np.complex128)
     product = np.empty(cir.gains.shape[1:], dtype=np.complex128)
     for d, g_d in zip(cir.delays, cir.gains):
         d %= n_sub

@@ -100,7 +100,7 @@ def _cmd_inspect(args: argparse.Namespace) -> None:
         if args.doppler is not None
         else config.frame.doppler_from_speed(args.speed_kmh)
     )
-    harness.inspect_channel(config, doppler, args.out, seed=args.seed)
+    harness.inspect_channel(config, doppler, args.out)
     n = config.frame.frame_size
     print(f"wrote {n}x{n} magnitude grid (doppler {doppler:g} Hz) to {args.out}")
 

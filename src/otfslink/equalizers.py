@@ -22,13 +22,10 @@ n_subcarriers)`` array.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from . import channel as chan
 from .channel import TimeVaryingCir, apply_time_channel, doppler_coupling
-from .frame import qpsk_slice
 from .transforms import otfs_demodulate, otfs_modulate_fast
 
 FDE_MODES = ("magnitude", "mmse")
@@ -45,7 +42,7 @@ def fde_build(cfr: np.ndarray, noise_var: float, mode: str) -> np.ndarray:
     """
     if mode not in FDE_MODES:
         raise ValueError(f"mode must be one of {FDE_MODES}, got {mode!r}")
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError("noise_var must be non-negative")
     cfr = np.asarray(cfr, dtype=np.complex128)
     mag = np.abs(cfr)
@@ -55,23 +52,22 @@ def fde_build(cfr: np.ndarray, noise_var: float, mode: str) -> np.ndarray:
     return gains
 
 
-def _clip(
-    coupling: np.ndarray, clip_threshold: float, partner: Callable[[np.ndarray], np.ndarray]
-) -> None:
-    """Zero, in place, the Hermitian pairs of entries whose magnitudes both
-    lie below ``clip_threshold`` times the largest magnitude.
+def _clip(coupling: np.ndarray, clip_threshold: float, delays: tuple[int, ...]) -> None:
+    """Zero, in place, the Hermitian pairs of Gram coupling entries whose
+    magnitudes both lie below ``clip_threshold`` times the largest magnitude.
 
-    ``partner(values)`` returns each entry's partner in an array laid out
-    like ``coupling``.  The two magnitudes are equal but for rounding, so
-    deciding a pair on the larger one keeps both entries or neither, and
-    the clipped matrix stays Hermitian.
+    ``coupling`` holds one ``(n_doppler_bins, n_subcarriers)`` row per Gram
+    delay in ``delays``, and each entry's partner is found by
+    :func:`_coupling_partner`.  The two magnitudes are equal but for
+    rounding, so deciding a pair on the larger one keeps both entries or
+    neither, and the clipped matrix stays Hermitian.
     """
     if clip_threshold > 0.0:
         mags = np.abs(coupling)
         peak = mags.max()
         if peak > 0.0:
             small = mags < clip_threshold * peak
-            small &= partner(small)
+            small &= _coupling_partner(small, delays)
             np.copyto(coupling, 0.0, where=small)
 
 
@@ -145,28 +141,27 @@ def dde_build_circulant(
     # symbol_grams always holds delay 0, the first of its ascending delays
     diag = coupling[0, 0].real.copy()
     coupling[0, 0] = 0.0
-    _clip(coupling, clip_threshold, lambda values: _coupling_partner(values, grams.delays))
+    _clip(coupling, clip_threshold, grams.delays)
     taps = np.fft.ifft(coupling, axis=1, norm="forward")
     return TimeVaryingCir(grams.delays, taps), diag
 
 
 def dde_equalize_circulant(
     matched: np.ndarray,
-    stage_one_symbols: np.ndarray,
+    decided: np.ndarray,
     taps: TimeVaryingCir,
     diag: np.ndarray,
 ) -> np.ndarray:
     """One decision-feedback pass in the delay-Doppler domain.
 
     ``matched`` is the time-domain matched filter ``H_n^H y_n`` of the
-    received frame; ``stage_one_symbols`` seed the hard decisions, whose
-    interference is regenerated through the link's own chain (modulate,
-    apply ``taps``) and subtracted before one demodulation.  Each entry is
-    then divided by its matched-filter gain ``diag``, restoring the
-    constellation scale.  All grids are ``(n_doppler_bins, n_subcarriers)``
-    arrays.
+    received frame and ``decided`` the hard decisions of stage one, as
+    constellation points on the delay-Doppler grid.  Their interference is
+    regenerated through the link's own chain (modulate, apply ``taps``) and
+    subtracted before one demodulation.  Each entry is then divided by its
+    matched-filter gain ``diag``, restoring the constellation scale.  All
+    grids are ``(n_doppler_bins, n_subcarriers)`` arrays.
     """
-    _, decided = qpsk_slice(stage_one_symbols)
-    regenerated = apply_time_channel(taps, otfs_modulate_fast(decided.reshape(matched.shape)))
+    regenerated = apply_time_channel(taps, otfs_modulate_fast(decided))
     estimate = otfs_demodulate(matched - regenerated)
     return estimate / np.where(diag > 0.0, diag, 1.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,9 +34,6 @@ EQUALIZER_NAMES = (
     "otfs_fde_dde",
     "otfs_full_mmse",
 )
-
-CSV_HEADER = "equalizer,snr_db,doppler_hz,frames,bits,bit_errors,ber,seed"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,10 +72,7 @@ class ExperimentConfig:
             raise ValueError("clip_threshold must lie in [0, 1]")
         if not self.fading and any(f > 0 for f in self.doppler_hz_list):
             raise ValueError("a non-fading channel cannot carry Doppler")
-        if self.profile.max_delay >= self.frame.max_delay_taps:
-            raise ValueError(
-                "profile max delay must be below the frame's max_delay_taps"
-            )
+        chan._check_profile_fits(self.profile, self.frame)
 
 
 @dataclass(frozen=True)
@@ -90,6 +85,9 @@ class BerRecord:
     bit_errors: int
     ber: float
     seed: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BerRecord))
 
 
 def sweep_trial_index(
@@ -150,11 +148,11 @@ def run_trial(
 
     y_otfs = chan.apply_time_channel(cir, otfs_modulate_fast(x_dd)) + noise
 
-    stage_one = None
     if enabled & {"otfs_fde", "otfs_fde_dde"}:
         stage_one = dsft_inverse(fde_gains * tf_stage(y_otfs))
+        hat, decided = qpsk_slice(stage_one.T)
         if "otfs_fde" in enabled:
-            errors["otfs_fde"] = _count_errors(stage_one.T, bits)
+            errors["otfs_fde"] = int(np.count_nonzero(hat != bits))
 
     # the per-symbol receivers share the Grams' taps
     if enabled & {"otfs_fde_dde", "otfs_full_mmse", "ofdm_full_mmse"}:
@@ -166,7 +164,9 @@ def run_trial(
         matched = chan.matched_filter(cir, y_otfs)
         if "otfs_fde_dde" in enabled:
             taps, diag = eq.dde_build_circulant(grams, config.clip_threshold)
-            estimate = eq.dde_equalize_circulant(matched, stage_one, taps, diag)
+            # the decisions come in payload order, laid out on the grid like x_dd
+            decided_dd = decided.reshape(frame.n_subcarriers, frame.n_doppler_bins).T
+            estimate = eq.dde_equalize_circulant(matched, decided_dd, taps, diag)
             errors["otfs_fde_dde"] = _count_errors(estimate.T, bits)
         if "otfs_full_mmse" in enabled:
             full_mmse["otfs_full_mmse"] = (matched, lambda x: otfs_demodulate(x).T)
@@ -267,10 +267,7 @@ def emit_csv(records: "list[BerRecord]", path: str) -> None:
     identical results produce byte-identical files."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            f"{r.equalizer},{r.snr_db!r},{r.doppler_hz!r},{r.frames},"
-            f"{r.bits},{r.bit_errors},{r.ber!r},{r.seed}"
-        )
+        lines.append(",".join(str(getattr(r, f.name)) for f in fields(BerRecord)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -280,23 +277,13 @@ def read_csv(path: str) -> list[BerRecord]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
+    types = get_type_hints(BerRecord).values()
     records = []
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != 8:
+        if len(cells) != len(types):
             raise ValueError(f"malformed CSV row: {line!r}")
-        records.append(
-            BerRecord(
-                equalizer=cells[0],
-                snr_db=float(cells[1]),
-                doppler_hz=float(cells[2]),
-                frames=int(cells[3]),
-                bits=int(cells[4]),
-                bit_errors=int(cells[5]),
-                ber=float(cells[6]),
-                seed=int(cells[7]),
-            )
-        )
+        records.append(BerRecord(*(kind(cell) for kind, cell in zip(types, cells))))
     return records
 
 
@@ -336,6 +323,16 @@ def _json_str(value, what: str) -> str:
     return value
 
 
+def _json_object(value, what: str, keys: set[str]) -> dict:
+    """``value`` if it is a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(value) - keys
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
+
+
 def _json_array(value, what: str, parse) -> tuple:
     """Each entry of ``value`` through ``parse``, if it is a JSON array."""
     if not isinstance(value, list):
@@ -344,11 +341,7 @@ def _json_array(value, what: str, parse) -> tuple:
 
 
 def _parse_profile(raw: dict, sample_rate: float) -> chan.TapProfile:
-    if not isinstance(raw, dict):
-        raise ValueError("profile must be a JSON object")
-    unknown = set(raw) - _PROFILE_KEYS
-    if unknown:
-        raise ValueError(f"unknown profile keys: {sorted(unknown)}")
+    _json_object(raw, "profile", _PROFILE_KEYS)
     if "powers_db" not in raw:
         raise ValueError("profile needs powers_db")
     has_us = "delays_us" in raw
@@ -373,20 +366,11 @@ def load_experiment_config(source: "str | dict") -> ExperimentConfig:
     else:
         with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("experiment config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _json_object(raw, "config", _TOP_KEYS)
     if "frame" not in raw or "profile" not in raw:
         raise ValueError("experiment config needs frame and profile sections")
 
-    frame_raw = raw["frame"]
-    if not isinstance(frame_raw, dict):
-        raise ValueError("frame must be a JSON object")
-    unknown = set(frame_raw) - _FRAME_KEYS
-    if unknown:
-        raise ValueError(f"unknown frame keys: {sorted(unknown)}")
+    frame_raw = _json_object(raw["frame"], "frame", _FRAME_KEYS)
     missing = {"n_subcarriers", "n_doppler_bins"} - set(frame_raw)
     if missing:
         raise ValueError(f"frame needs {', '.join(sorted(missing))}")
@@ -520,12 +504,13 @@ def with_overrides(
     return config
 
 
-def inspect_channel(
-    config: ExperimentConfig, doppler_hz: float, path: str, seed: "int | None" = None
-) -> None:
-    """Write the magnitude of one equivalent-channel realization, drawn as
-    :func:`run_trial` draws it, as a dense CSV (one row per delay-Doppler
-    output index).
+def inspect_channel(config: ExperimentConfig, doppler_hz: float, path: str) -> None:
+    """Write the magnitude of one equivalent-channel realization as a dense
+    CSV (one row per delay-Doppler output index).
+
+    The realization is seeded by ``config.base_seed`` itself, not by any
+    trial's channel stream, so it differs from the channels a sweep draws;
+    a non-fading config gives its fixed taps.
 
     The equivalent channel is circulant over Doppler, so every row is read
     from the dense blocks of the realization's
@@ -533,7 +518,7 @@ def inspect_channel(
     matrix is formed.
     """
     frame = config.frame
-    cir = _draw_channel(config, doppler_hz, config.base_seed if seed is None else seed)
+    cir = _draw_channel(config, doppler_hz, config.base_seed)
     mags = np.abs(chan.symbol_channel_blocks(chan.doppler_coupling(cir)))
     k = np.arange(frame.n_doppler_bins)
     shifts = (k[:, None] - k[None, :]) % frame.n_doppler_bins

@@ -26,7 +26,6 @@ from otfslink.channel import (
     noise_variance,
     symbol_channel_blocks,
 )
-from otfslink.equalizers import _clip
 from otfslink.frame import FrameConfig, qpsk_slice
 from otfslink.transforms import otfs_demodulate
 
@@ -422,9 +421,14 @@ def dde_build(
     if gram is None:
         gram = h_eq.conj().T @ h_eq
     diag = np.real(np.diag(gram)).copy()
-    # a Hermitian matrix pairs each entry with its transpose
     r_bar = gram - np.diag(np.diag(gram))
-    _clip(r_bar, clip_threshold, np.transpose)
+    mags = np.abs(r_bar)
+    peak = mags.max()
+    if clip_threshold > 0.0 and peak > 0.0:
+        # a Hermitian matrix pairs each entry with its transpose, and a pair
+        # is zeroed only when both magnitudes lie below the threshold
+        small = mags < clip_threshold * peak
+        r_bar[small & small.T] = 0.0
     return CancellationMatrix(r_bar=r_bar, diag=diag)
 
 

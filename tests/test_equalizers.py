@@ -96,8 +96,9 @@ class TestFdeBuild:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="mode"):
             fde_build(np.ones((1, 1)), 0.0, mode="zf")
-        with pytest.raises(ValueError, match="noise_var"):
-            fde_build(np.ones((1, 1)), -0.1, mode="magnitude")
+        for noise_var in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="noise_var"):
+                fde_build(np.ones((1, 1)), noise_var, mode="magnitude")
 
 
 class TestFdeApply:

@@ -19,6 +19,7 @@ import otfslink
 from otfslink import FrameConfig, TapProfile, fixed_cir, generate_cir, single_tap_profile
 from otfslink import harness
 from otfslink.cli import main
+from otfslink.frame import qpsk_slice
 
 TOY_FRAME = FrameConfig(
     n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
@@ -199,6 +200,24 @@ class TestRunTrial:
         monkeypatch.setattr(harness.chan, "symbol_channel_blocks", no_dense_blocks)
         assert harness.run_trial(config, snr_db, doppler_hz, 0) == expected
 
+    def test_stage_one_is_sliced_once(self, monkeypatch):
+        # stage one's decisions give its own count and feed the cancellation,
+        # so a two-stage trial slices stage one and the cancelled estimate
+        calls = []
+
+        def counted(symbols):
+            calls.append(symbols)
+            return qpsk_slice(symbols)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("otfslink") and (
+                getattr(module, "qpsk_slice", None) is qpsk_slice
+            ):
+                monkeypatch.setattr(module, "qpsk_slice", counted)
+        config = toy_config(equalizers=("otfs_fde", "otfs_fde_dde"))
+        harness.run_trial(config, 10.0, 0.0, 0)
+        assert len(calls) == 2
+
     @pytest.mark.skipif(not on_glibc_linux(), reason="the allocator policy is glibc's")
     def test_steady_state_table2_frames_take_no_page_faults(self):
         # a fresh process, so that the suite's own allocations do not shape
@@ -331,6 +350,8 @@ class TestCsv:
         harness.emit_csv(self.make_records(), str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == harness.CSV_HEADER
+        assert lines[0] == "equalizer,snr_db,doppler_hz,frames,bits,bit_errors,ber,seed"
+        assert lines[1] == "otfs_fde,10.0,0.0,4,256,3,0.01171875,99"
         assert all(len(line.split(",")) == 8 for line in lines)
         assert path.read_text().endswith("\n")
 
@@ -530,7 +551,8 @@ class TestInspectChannel:
 
     def test_non_fading_grid_is_the_fixed_channel(self, tmp_path):
         path = tmp_path / "grid.csv"
-        harness.inspect_channel(toy_config(fading=False), 0.0, str(path), seed=5)
+        config = replace(toy_config(fading=False), base_seed=5)
+        harness.inspect_channel(config, 0.0, str(path))
         h_tl = build_time_channel_matrix(fixed_cir(THREE_TAPS, TOY_FRAME), TOY_FRAME)
         h_eq = build_equivalent_channel(h_tl, TOY_FRAME)
         values = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -698,6 +720,16 @@ class TestCli:
         assert main(args + ["--out", str(out)]) == 1
         assert "doppler_hz must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inspect_channel_seed_is_the_base_seed(self, tmp_path):
+        out = tmp_path / "cli.csv"
+        args = ["inspect-channel", "--preset", "desk", "--doppler", "1280", "--seed", "7"]
+        assert main(args + ["--out", str(out)]) == 0
+        direct = tmp_path / "direct.csv"
+        config = replace(harness.desk_preset(), base_seed=7)
+        harness.inspect_channel(config, 1280.0, str(direct))
+        assert out.read_bytes() == direct.read_bytes()
 
     def test_inspect_channel_non_fading_grid_ignores_seed(self, tmp_path):
         path = tmp_path / "config.json"

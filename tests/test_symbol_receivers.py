@@ -248,17 +248,22 @@ def test_circulant_clip_keeps_whole_hermitian_pairs(link, clip):
     assert_array_equal(kept, _hermitian_partners(kept, link.grams.delays))
 
 
+def _decide(grid: np.ndarray) -> np.ndarray:
+    """Hard QPSK decisions on a delay-Doppler grid, in its layout."""
+    return qpsk_slice(grid)[1].reshape(grid.shape)
+
+
 @pytest.mark.parametrize("clip", CLIPS[:3])
 def test_circulant_equalize_matches_dense(link, clip):
     taps, diag = eq.dde_build_circulant(link.grams, clip)
     matched = chan.matched_filter(link.cir, link.y_otfs)
     dense = dde_build(link.h_eq, clip)
 
-    first = eq.dde_equalize_circulant(matched, link.stage_one, taps, diag)
+    first = eq.dde_equalize_circulant(matched, _decide(link.stage_one), taps, diag)
     stage_one = link.stage_one.ravel(order="F")
     oracle = dde_equalize(link.y_dd, stage_one, link.h_eq, dense)
     assert_allclose(first.ravel(order="F"), oracle, rtol=0, atol=1e-10)
-    second = eq.dde_equalize_circulant(matched, first, taps, diag)
+    second = eq.dde_equalize_circulant(matched, _decide(first), taps, diag)
     oracle = dde_equalize(link.y_dd, oracle, link.h_eq, dense)
     assert_allclose(second.ravel(order="F"), oracle, rtol=0, atol=1e-10)
 
