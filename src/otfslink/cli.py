@@ -47,7 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A,B,...",
         help=f"comma-separated subset of {', '.join(harness.EQUALIZER_NAMES)}",
     )
-    run.add_argument("--workers", type=int, default=1, help="worker processes")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="processes that run trials; N-1 are forked",
+    )
 
     inspect = sub.add_parser(
         "inspect-channel",

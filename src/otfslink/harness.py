@@ -210,9 +210,12 @@ def _run_chunk(payload) -> tuple[int, int, dict[str, int]]:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[BerRecord]:
     """Run the full sweep and aggregate BER per (equalizer, SNR, Doppler).
 
-    ``workers > 1`` distributes trials over processes; aggregation is a sum
-    of per-trial error counts, so the result is identical at any
-    parallelism level.
+    ``workers`` is the number of processes that run trials.  Above one,
+    the calling process runs every ``workers``-th chunk of trials itself
+    and a pool of ``workers - 1`` processes runs the rest; a failure in
+    either share ends the sweep without starting the other share's queued
+    chunks.  Aggregation is a sum of per-trial error counts, so the result
+    is identical at any parallelism level.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -230,11 +233,23 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[BerRecord]:
     if workers == 1:
         results = map(_run_chunk, tasks)
     else:
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = ProcessPoolExecutor(max_workers=workers - 1)
         try:
-            results = list(executor.map(_run_chunk, tasks))
+            forked = [
+                executor.submit(_run_chunk, task)
+                for i, task in enumerate(tasks)
+                if i % workers
+            ]
+            results = []
+            for task in tasks[::workers]:
+                # re-raise a forked chunk's failure before running another
+                for future in forked:
+                    if future.done():
+                        future.result()
+                results.append(_run_chunk(task))
+            results += [future.result() for future in forked]
         finally:
-            executor.shutdown()
+            executor.shutdown(cancel_futures=True)
     for si, di, counts in results:
         point = totals.setdefault((si, di), {name: 0 for name in config.equalizers})
         for name, count in counts.items():

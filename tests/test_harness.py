@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,29 +310,81 @@ class TestRunSweep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
         # a fork-context pool starts all of its workers at once; a fake
-        # pool records the size it was asked for and maps serially
-        sizes = []
+        # pool records its size and the chunks it is sent and runs them
+        # with the real chunk runner, so only the calling process's own
+        # chunks pass through run_here
+        run_chunk = harness._run_chunk
+        sizes, sent, ran_here = [], [], []
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, func, tasks):
-                return map(func, tasks)
+            def submit(self, func, task):
+                sent.append(task[1:])
+                future = Future()
+                future.set_result(run_chunk(task))
+                return future
 
-            def shutdown(self):
+            def shutdown(self, cancel_futures=False):
                 pass
 
+        def run_here(task):
+            ran_here.append(task[1:])
+            return run_chunk(task)
+
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_run_chunk", run_here)
         config = toy_config(snr_db_list=(0.0, 10.0), doppler_hz_list=(0.0, 1000.0), n_trials=1)
         serial = harness.run_sweep(config, workers=1)
-        assert harness.run_sweep(config, workers=16) == serial
-        assert harness.run_sweep(config, workers=3) == serial
-        assert sizes == [4, 3]
+        chunks = ran_here.copy()
+        for workers, pool_size in ((16, 3), (3, 2)):
+            sent.clear()
+            ran_here.clear()
+            assert harness.run_sweep(config, workers=workers) == serial
+            # this process ran every (pool_size + 1)-th chunk, the pool the rest
+            assert ran_here == chunks[:: pool_size + 1]
+            assert sent == [c for c in chunks if c not in ran_here]
+        assert sizes == [3, 2]
         # a single chunk runs in this process
         one_point = toy_config(n_trials=1)
         assert harness.run_sweep(one_point, workers=16) == harness.run_sweep(one_point)
-        assert sizes == [4, 3]
+        assert sizes == [3, 2]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers inherit the patched trial only when forked",
+    )
+    @pytest.mark.parametrize("failing_share", ["calling", "forked"])
+    def test_failure_in_either_share_ends_the_sweep(self, monkeypatch, failing_share):
+        # twenty one-trial chunks, trial index = chunk index: the calling
+        # process runs the even ones and the forked worker the odd ones
+        config = toy_config(snr_db_list=tuple(2.0 * k for k in range(10)), n_trials=2)
+        failing = 0 if failing_share == "calling" else 1
+        failed = multiprocessing.Value("b", False)
+        started_after = multiprocessing.Value("i", 0)
+        calling_pid = os.getpid()
+
+        def trial(config, snr_db, doppler_hz, trial_index):
+            if failed.value:
+                with started_after.get_lock():
+                    started_after.value += 1
+            # the worker's trials are the slower, so the calling process
+            # sees a failure before the worker's next chunk ends
+            time.sleep(0.01 if os.getpid() == calling_pid else 0.04)
+            if trial_index == failing:
+                failed.value = True
+                raise np.linalg.LinAlgError("singular system")
+            return dict.fromkeys(config.equalizers, 0)
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+        with pytest.raises(np.linalg.LinAlgError, match="singular system"):
+            harness.run_sweep(config, workers=2)
+        # only chunks in flight at the failure still run: the calling
+        # process's current one and the two in the pool's call queue, which
+        # holds one more chunk than the pool has processes, plus one for the
+        # failure's trip back; the other share's remaining nine do not
+        assert started_after.value <= 4
 
 
 class TestCsv:

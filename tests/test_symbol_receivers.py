@@ -320,6 +320,7 @@ def test_singular_channel_exits_two(monkeypatch, tmp_path, capsys):
         return np.zeros((n, m, m), dtype=complex)
 
     monkeypatch.setattr(chan, "symbol_channel_blocks", zero_blocks)
+    # two trials make two chunks, so --workers 2 starts a pool
     path = tmp_path / "singular.json"
     path.write_text(
         json.dumps(
@@ -327,15 +328,17 @@ def test_singular_channel_exits_two(monkeypatch, tmp_path, capsys):
                 "frame": {"n_subcarriers": 8, "n_doppler_bins": 4},
                 "profile": {"delays_samples": [0], "powers_db": [0.0]},
                 "snr_db_list": ["inf"],
-                "n_trials": 1,
+                "n_trials": 2,
                 "fading": False,
             }
         )
     )
     for name in ("otfs_full_mmse", "ofdm_full_mmse"):
-        out = str(tmp_path / "out.csv")
-        assert main(["run", "--config", str(path), "--equalizers", name, "--out", out]) == 2
-        assert "normal matrix is singular (noise_var=0.0)" in capsys.readouterr().err
+        for workers in ("1", "2"):
+            out = str(tmp_path / "out.csv")
+            argv = ["run", "--config", str(path), "--equalizers", name, "--workers", workers]
+            assert main(argv + ["--out", out]) == 2
+            assert "normal matrix is singular (noise_var=0.0)" in capsys.readouterr().err
 
 
 # error counts of seed 2024, trials 0-7, at 20 dB and 1280 Hz on the desk
