@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import FrameConfig
+from .frame import FrameConfig, _check_field_types, _check_type, _field_types
 
 N_SINUSOIDS = 32
 
@@ -47,6 +47,7 @@ class TapProfile:
     powers: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if len(self.delays) != len(self.powers) or not self.delays:
             raise ValueError("delays and powers must be equal-length, non-empty")
         if any(d < 0 for d in self.delays):
@@ -69,6 +70,8 @@ class TapProfile:
     ) -> "TapProfile":
         if len(delays) != len(powers_db):
             raise ValueError("delays and powers_db must have equal length")
+        # checked before merging, where True or 1.0 would join delay 1
+        _check_type(tuple(delays), _field_types(cls)["delays"], "delays")
         merged: dict[int, float] = {}
         for d, p_db in zip(delays, powers_db):
             try:
@@ -76,7 +79,7 @@ class TapProfile:
             except OverflowError:
                 raise ValueError(f"tap power {p_db} dB overflows a float") from None
             # taps that round onto the same sample add in power
-            merged[int(d)] = merged.get(int(d), 0.0) + power
+            merged[d] = merged.get(d, 0.0) + power
         delays_out = tuple(sorted(merged))
         total = sum(merged.values())
         if total == 0.0:

@@ -25,11 +25,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_source_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="experiment config JSON")
-    parser.add_argument(
-        "--preset",
-        choices=sorted(harness.PRESETS),
-        help="built-in configuration (ignored when --config is given)",
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", metavar="FILE", help="experiment config JSON")
+    source.add_argument(
+        "--preset", choices=sorted(harness.PRESETS), help="built-in configuration"
     )
     parser.add_argument("--seed", type=int, help="override the base seed")
 
@@ -60,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write |H| of one equivalent delay-Doppler channel as dense CSV",
     )
     _add_source_options(inspect)
-    inspect.add_argument("--doppler", type=float, metavar="HZ")
-    inspect.add_argument(
+    rate = inspect.add_mutually_exclusive_group(required=True)
+    rate.add_argument("--doppler", type=float, metavar="HZ")
+    rate.add_argument(
         "--speed-kmh", type=float, metavar="KMH", help="alternative to --doppler"
     )
     inspect.add_argument("--out", default="heatmap.csv", metavar="FILE")
@@ -69,12 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    if args.config:
+    if args.config is not None:
         config = harness.load_experiment_config(args.config)
-    elif args.preset:
-        config = harness.PRESETS[args.preset]()
     else:
-        raise _UsageError("provide --config or --preset")
+        config = harness.PRESETS[args.preset]()
     equalizers = None
     if getattr(args, "equalizers", None) is not None:
         equalizers = tuple(s.strip() for s in args.equalizers.split(",") if s.strip())
@@ -99,8 +97,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_inspect(args: argparse.Namespace) -> None:
     config = _load_config(args)
-    if (args.doppler is None) == (args.speed_kmh is None):
-        raise _UsageError("provide exactly one of --doppler or --speed-kmh")
     doppler = (
         args.doppler
         if args.doppler is not None

@@ -11,11 +11,48 @@ Every transform is then one FFT along one axis of such an array.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 BITS_PER_QPSK_SYMBOL = 2
+
+# the annotations of a config class, resolved once per class
+_field_types = functools.cache(get_type_hints)
+# what an annotated scalar type admits besides itself; a bool is neither
+_ADMITS = {int: numbers.Integral, float: numbers.Real}
+
+
+def _holds(value, hint) -> bool:
+    if get_origin(hint) is tuple:
+        entry = get_args(hint)[0]
+        return isinstance(value, tuple) and all(_holds(v, entry) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, _ADMITS.get(hint, hint))
+
+
+def _check_type(value, hint, what: str) -> None:
+    if not _holds(value, hint):
+        kind = hint.__name__ if isinstance(hint, type) else hint
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
+def _check_field_types(obj) -> None:
+    """Raise ``ValueError`` unless every field of the dataclass ``obj`` holds
+    its annotated type.
+
+    An ``int`` field takes any integer (``numbers.Integral``, so numpy
+    integers too), a ``float`` field any real number, and only a ``bool``
+    field a bool; ``tuple[X, ...]`` takes a tuple of such entries and a
+    class annotation an instance of that class.  Values are never
+    converted.
+    """
+    for name, hint in _field_types(type(obj)).items():
+        _check_type(getattr(obj, name), hint, name)
 
 
 @dataclass(frozen=True)
@@ -48,6 +85,7 @@ class FrameConfig:
     carrier_freq: float = 5.8e9
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.n_subcarriers < 1 or self.n_doppler_bins < 1:
             raise ValueError("grid dimensions must be positive")
         if not 1 <= self.max_delay_taps <= self.n_subcarriers:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
 
 from . import channel as chan
 from . import equalizers as eq
-from .frame import FrameConfig, qpsk_map, qpsk_slice, random_bits
+from .frame import FrameConfig, _check_field_types, qpsk_map, qpsk_slice, random_bits
 from .transforms import (
     dsft_inverse,
     ofdm_modulate,
@@ -51,6 +51,7 @@ class ExperimentConfig:
     fading: bool = True
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not self.snr_db_list or not all(s > -np.inf for s in self.snr_db_list):
             raise ValueError("snr_db_list must be non-empty and hold no NaN or -inf")
         if not self.doppler_hz_list or not all(0 <= f < np.inf for f in self.doppler_hz_list):
@@ -305,121 +306,88 @@ def read_csv(path: str) -> list[BerRecord]:
 # ---------------------------------------------------------------------------
 # configuration files and presets
 
-_FRAME_KEYS = {f.name for f in fields(FrameConfig)}
-_FRAME_COUNTS = {"n_subcarriers", "n_doppler_bins", "max_delay_taps", "cp_len"}
-_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _PROFILE_KEYS = {"delays_us", "delays_samples", "powers_db"}
+_INF_SNRS = ("inf", "+inf", "infinity")
 
 
-def _parse_snr(value, what: str) -> float:
-    if isinstance(value, str) and value.lower() in ("inf", "+inf", "infinity"):
-        return float("inf")
-    return _json_number(value, what)
-
-
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; floats and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; booleans and strings are
-    rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_object(value, what: str, keys: set[str]) -> dict:
-    """``value`` if it is a JSON object whose keys all lie in ``keys``."""
+def _json_object(value, what: str, keys: set[str]) -> None:
+    """Raise unless ``value`` is a JSON object whose keys all lie in ``keys``."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
     unknown = set(value) - keys
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return value
 
 
-def _json_array(value, what: str, parse) -> tuple:
-    """Each entry of ``value`` through ``parse``, if it is a JSON array."""
+def _json_array(value, what: str) -> tuple:
+    """``value`` as a tuple if it is a JSON array."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON array, got {value!r}")
-    return tuple(parse(v, f"{what} entry") for v in value)
+    return tuple(value)
 
 
-def _parse_profile(raw: dict, sample_rate: float) -> chan.TapProfile:
+def _json_numbers(value, what: str) -> tuple:
+    """``value`` as a tuple if it is a JSON array of numbers; booleans and
+    strings are rejected."""
+    values = _json_array(value, what)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} entries must be numbers, got {value!r}")
+    return values
+
+
+def _json_fields(cls, raw, what: str) -> dict:
+    """The fields of the dataclass ``cls`` that the JSON object ``raw``
+    sets, with its arrays as tuples.
+
+    Keys that name no field and missing fields without a default are
+    rejected; the values' types are left to ``cls`` itself.
+    """
+    _json_object(raw, what, {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"{what} needs {', '.join(missing)}")
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
+
+
+def _parse_profile(raw, sample_rate: float) -> chan.TapProfile:
     _json_object(raw, "profile", _PROFILE_KEYS)
     if "powers_db" not in raw:
         raise ValueError("profile needs powers_db")
     has_us = "delays_us" in raw
-    has_samples = "delays_samples" in raw
-    if has_us == has_samples:
+    if has_us == ("delays_samples" in raw):
         raise ValueError("profile needs exactly one of delays_us, delays_samples")
-    powers_db = _json_array(raw["powers_db"], "powers_db", _json_number)
+    powers_db = _json_numbers(raw["powers_db"], "powers_db")
     if has_us:
-        delays_us = _json_array(raw["delays_us"], "delays_us", _json_number)
+        delays_us = _json_numbers(raw["delays_us"], "delays_us")
         return chan.TapProfile.from_microseconds(delays_us, powers_db, sample_rate)
-    delays = _json_array(raw["delays_samples"], "delays_samples", _json_int)
+    delays = _json_array(raw["delays_samples"], "delays_samples")
     return chan.TapProfile.from_powers_db(delays, powers_db)
 
 
 def load_experiment_config(source: "str | dict") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a JSON file path or dict.
 
-    Unknown keys anywhere in the document are rejected.
+    Each key sets the field of its name, and JSON arrays become tuples;
+    unknown keys anywhere in the document are rejected.  Numbers reach
+    the config classes as written, and those classes check every type,
+    as they do for any caller.  What is JSON's own: the profile section's
+    units (``delays_us`` or ``delays_samples``, with ``powers_db``), and
+    the string ``"inf"`` as an SNR.
     """
     if isinstance(source, dict):
         raw = source
     else:
         with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
-    _json_object(raw, "config", _TOP_KEYS)
-    if "frame" not in raw or "profile" not in raw:
-        raise ValueError("experiment config needs frame and profile sections")
-
-    frame_raw = _json_object(raw["frame"], "frame", _FRAME_KEYS)
-    missing = {"n_subcarriers", "n_doppler_bins"} - set(frame_raw)
-    if missing:
-        raise ValueError(f"frame needs {', '.join(sorted(missing))}")
-    frame = FrameConfig(
-        **{
-            key: (_json_int if key in _FRAME_COUNTS else _json_number)(value, key)
-            for key, value in frame_raw.items()
-        }
-    )
-
-    kwargs: dict = {
-        "frame": frame,
-        "profile": _parse_profile(raw["profile"], frame.sample_rate),
-    }
-    lists = {
-        "snr_db_list": _parse_snr,
-        "doppler_hz_list": _json_number,
-        "equalizers": _json_str,
-    }
-    for key, parse in lists.items():
-        if key in raw:
-            kwargs[key] = _json_array(raw[key], key, parse)
-    for key in ("n_trials", "base_seed"):
-        if key in raw:
-            kwargs[key] = _json_int(raw[key], key)
-    if "fde_mode" in raw:
-        kwargs["fde_mode"] = _json_str(raw["fde_mode"], "fde_mode")
-    if "clip_threshold" in raw:
-        kwargs["clip_threshold"] = _json_number(raw["clip_threshold"], "clip_threshold")
-    if "fading" in raw:
-        if not isinstance(raw["fading"], bool):
-            raise ValueError("fading must be true or false")
-        kwargs["fading"] = raw["fading"]
-    return ExperimentConfig(**kwargs)
+    values = _json_fields(ExperimentConfig, raw, "config")
+    frame = FrameConfig(**_json_fields(FrameConfig, values.pop("frame"), "frame"))
+    profile = _parse_profile(values.pop("profile"), frame.sample_rate)
+    if isinstance(values.get("snr_db_list"), tuple):
+        values["snr_db_list"] = tuple(
+            float("inf") if isinstance(s, str) and s.lower() in _INF_SNRS else s
+            for s in values["snr_db_list"]
+        )
+    return ExperimentConfig(frame, profile, **values)
 
 
 def desk_preset() -> ExperimentConfig:
@@ -509,14 +477,11 @@ def with_overrides(
     trials: "int | None" = None,
     equalizers: "tuple[str, ...] | None" = None,
 ) -> ExperimentConfig:
-    """CLI-style overrides on top of a loaded config."""
-    if seed is not None:
-        config = replace(config, base_seed=seed)
-    if trials is not None:
-        config = replace(config, n_trials=trials)
-    if equalizers is not None:
-        config = replace(config, equalizers=equalizers)
-    return config
+    """``config`` with each override that is not ``None`` in place:
+    ``seed`` sets ``base_seed``, ``trials`` ``n_trials`` and ``equalizers``
+    its namesake.  The result is checked like any new config."""
+    overrides = {"base_seed": seed, "n_trials": trials, "equalizers": equalizers}
+    return replace(config, **{key: v for key, v in overrides.items() if v is not None})
 
 
 def inspect_channel(config: ExperimentConfig, doppler_hz: float, path: str) -> None:

@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,67 @@ class TestExperimentConfig:
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
             toy_config(**overrides)
+
+
+# (config, field, value) with a value of the wrong type for the field
+WRONG_FIELD_TYPES = [
+    (TOY_FRAME, "n_subcarriers", 8.0),
+    (TOY_FRAME, "sample_rate", True),
+    (THREE_TAPS, "delays", (0, True, 2)),
+    (toy_config(), "n_trials", 2.5),
+    (toy_config(), "n_trials", True),
+    (toy_config(), "base_seed", 7.0),
+    (toy_config(), "fading", 1),
+    (toy_config(), "clip_threshold", True),
+    (toy_config(), "snr_db_list", [0.0]),
+]
+
+
+class TestFieldTypes:
+    """Each config class checks its annotated field types at construction,
+    whichever way it is built."""
+
+    @pytest.mark.parametrize("entry", ["constructor", "replace"])
+    @pytest.mark.parametrize(
+        "config, field, value",
+        WRONG_FIELD_TYPES,
+        ids=[f"{field}={value!r}" for _, field, value in WRONG_FIELD_TYPES],
+    )
+    def test_wrong_type_fails_at_construction(self, entry, config, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            if entry == "constructor":
+                values = {f.name: getattr(config, f.name) for f in fields(config)}
+                type(config)(**{**values, field: value})
+            else:
+                replace(config, **{field: value})
+
+    def test_positional_frame_counts_must_be_integers(self):
+        with pytest.raises(ValueError, match="^n_subcarriers must be int"):
+            FrameConfig(8.0, 4)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"trials": 2.5}, {"trials": True}, {"seed": 7.0}, {"equalizers": ["otfs_fde"]}],
+        ids=["trials=2.5", "trials=True", "seed=7.0", "equalizers-list"],
+    )
+    def test_with_overrides_checks_types(self, overrides):
+        with pytest.raises(ValueError, match=" must be "):
+            harness.with_overrides(harness.toy_preset(), **overrides)
+
+    @pytest.mark.parametrize(
+        "delays", [[0, 1.6], [0, True], [1, True], [1, 1.0]], ids=str
+    )
+    def test_profile_delays_must_be_integers(self, delays):
+        with pytest.raises(ValueError, match="^delays must be tuple"):
+            TapProfile.from_powers_db(delays, [0.0, 0.0])
+
+    def test_numpy_scalars_are_accepted(self):
+        config = toy_config(
+            n_trials=np.int64(3), snr_db_list=(np.float64(5.0), np.float64(10.0))
+        )
+        assert config.n_trials == 3
+        assert config.snr_db_list == (5.0, 10.0)
+        assert harness.with_overrides(config, trials=np.int64(2)).n_trials == 2
 
 
 class TestSweepTrialIndex:
@@ -449,6 +511,40 @@ def config_document() -> dict:
     }
 
 
+# for each config field, a JSON value that differs from the one in
+# read_document() and what the loaded config must then hold; a "frame."
+# prefix marks a field of the frame section
+READ_CASES = {
+    "frame.n_subcarriers": (16, 16),
+    "frame.n_doppler_bins": (8, 8),
+    "frame.max_delay_taps": (4, 4),
+    "frame.cp_len": (5, 5),
+    "frame.sample_rate": (128000, 128000),
+    "frame.carrier_freq": (2.4e9, 2.4e9),
+    "profile": (
+        {"delays_samples": [0, 2], "powers_db": [0, -3]},
+        TapProfile.from_powers_db([0, 2], [0.0, -3.0]),
+    ),
+    "snr_db_list": ([5, "inf"], (5, float("inf"))),
+    "doppler_hz_list": ([0, 250.0], (0, 250.0)),
+    "n_trials": (5, 5),
+    "base_seed": (11, 11),
+    "equalizers": (["ofdm_single_tap"], ("ofdm_single_tap",)),
+    "fde_mode": ("magnitude", "magnitude"),
+    "clip_threshold": (0.3, 0.3),
+    "fading": (False, False),
+}
+FIELD_KEYS = [f.name for f in fields(harness.ExperimentConfig) if f.name != "frame"] + [
+    f"frame.{f.name}" for f in fields(FrameConfig)
+]
+
+
+def read_document() -> dict:
+    doc = config_document()
+    doc["frame"]["cp_len"] = 3  # room for a longer channel
+    return doc
+
+
 class TestLoadExperimentConfig:
     def test_full_document(self):
         config = harness.load_experiment_config(config_document())
@@ -469,6 +565,29 @@ class TestLoadExperimentConfig:
         }
         config = harness.load_experiment_config(doc)
         assert config.profile.delays == (0, 1, 2)
+
+    @pytest.mark.parametrize("key", FIELD_KEYS)
+    def test_reads_every_field(self, key):
+        assert key in READ_CASES, f"no read case for config field {key}"
+        value, expected = READ_CASES[key]
+        section, _, name = key.rpartition(".")
+        doc = read_document()
+        (doc[section] if section else doc)[name] = value
+
+        def field(config):
+            return getattr(config.frame if section else config, name)
+
+        loaded = field(harness.load_experiment_config(doc))
+        assert loaded == expected
+        assert type(loaded) is type(expected)
+        assert loaded != field(harness.load_experiment_config(read_document()))
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        config = harness.load_experiment_config(json.loads(block))
+        assert config.frame == harness.desk_preset().frame
+        assert config.n_trials == 500
 
     def test_loads_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -678,7 +797,19 @@ class TestCli:
 
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "x.csv")]) == 1
-        assert "provide --config or --preset" in capsys.readouterr().err
+        assert "one of the arguments --config --preset is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["inspect-channel", "--doppler", "0"]])
+    def test_config_and_preset_are_exclusive(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_document()))
+        out = tmp_path / "out.csv"
+        argv = command + ["--config", str(path), "--preset", "toy", "--out", str(out)]
+        assert main(argv) == 1
+        assert "argument --preset: not allowed with argument --config" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -823,7 +954,8 @@ class TestCli:
             == 1
         )
         err = capsys.readouterr().err
-        assert "exactly one" in err
+        assert "one of the arguments --doppler --speed-kmh is required" in err
+        assert "argument --speed-kmh: not allowed with argument --doppler" in err
 
     def test_numerical_failure_uses_exit_code_two(self, monkeypatch, capsys):
         def boom(config, workers=1):
