@@ -70,6 +70,7 @@ class TapProfile:
     ) -> "TapProfile":
         if len(delays) != len(powers_db):
             raise ValueError("delays and powers_db must have equal length")
+        _check_type(tuple(powers_db), tuple[float, ...], "powers_db")
         # checked before merging, where True or 1.0 would join delay 1
         _check_type(tuple(delays), _field_types(cls)["delays"], "delays")
         merged: dict[int, float] = {}
@@ -95,6 +96,7 @@ class TapProfile:
         sample_rate: float,
     ) -> "TapProfile":
         """Round physical delays to the nearest sample and renormalize."""
+        _check_type(tuple(delays_us), tuple[float, ...], "delays_us")
         samples = [d * 1e-6 * sample_rate for d in delays_us]
         if not all(abs(s) < np.inf for s in samples):
             raise ValueError(f"tap delays must be finite in samples, got {samples}")
@@ -125,12 +127,19 @@ class TimeVaryingCir:
     gains: np.ndarray
 
 
+def _max_delay(config: FrameConfig) -> int:
+    """The largest tap delay that the frame's cyclic prefix covers."""
+    return min(config.cp_len, config.n_subcarriers - 1)
+
+
 def _check_profile_fits(profile: TapProfile, config: FrameConfig) -> None:
-    if profile.max_delay >= config.max_delay_taps:
-        raise ValueError(
-            f"profile max delay {profile.max_delay} exceeds channel length "
-            f"{config.max_delay_taps}"
-        )
+    """Raise ``ValueError`` unless every tap delay of ``profile`` is at most
+    the frame's ``cp_len`` and below its ``n_subcarriers``: the per-symbol
+    model holds only while each symbol's cyclic prefix covers the channel
+    memory, and a delay of ``n_subcarriers`` would wrap onto delay 0."""
+    limit = _max_delay(config)
+    if profile.max_delay > limit:
+        raise ValueError(f"profile max delay {profile.max_delay} > {limit}, beyond the cyclic prefix")
 
 
 def generate_cir(
@@ -204,14 +213,15 @@ def generate_cir(
 def cir_from_gains(gains: np.ndarray, config: FrameConfig) -> TimeVaryingCir:
     """Wrap constant tap gains as a channel realization.
 
-    ``gains`` holds one constant per delay, shape ``(max_delay_taps,)``;
-    entry ``d`` is the tap at delay ``d``, and zero entries are not stored.
+    ``gains`` is 1-D and holds one constant per delay, from delay 0 up to
+    at most ``min(cp_len, n_subcarriers - 1)``, the largest delay the
+    frame's cyclic prefix covers; entry ``d`` is the tap at delay ``d``,
+    and zero entries are not stored.
     """
     gains = np.asarray(gains, dtype=np.complex128)
-    if gains.shape != (config.max_delay_taps,):
-        raise ValueError(
-            f"gains must have shape ({config.max_delay_taps},), got {gains.shape}"
-        )
+    size = _max_delay(config) + 1
+    if gains.ndim != 1 or not 1 <= gains.size <= size:
+        raise ValueError(f"gains must be 1-D with 1 to {size} entries, got shape {gains.shape}")
     delays = np.flatnonzero(gains)
     shape = (delays.size, config.n_doppler_bins, config.n_subcarriers)
     taps = np.broadcast_to(gains[delays, None, None], shape).copy()
@@ -223,7 +233,7 @@ def fixed_cir(profile: TapProfile, config: FrameConfig) -> TimeVaryingCir:
     ``sqrt(power_d)``.  A single unit-power tap gives the identity channel,
     turning the link into a pure AWGN reference."""
     _check_profile_fits(profile, config)
-    gains = np.zeros(config.max_delay_taps, dtype=np.complex128)
+    gains = np.zeros(profile.max_delay + 1, dtype=np.complex128)
     gains[list(profile.delays)] = np.sqrt(profile.powers)
     return cir_from_gains(gains, config)
 

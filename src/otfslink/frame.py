@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -32,7 +32,14 @@ def _holds(value, hint) -> bool:
         return isinstance(value, tuple) and all(_holds(v, entry) for v in value)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, _ADMITS.get(hint, hint))
+    if not isinstance(value, _ADMITS.get(hint, hint)):
+        return False
+    if hint is float:
+        try:
+            float(value)  # an integer beyond float range overflows here
+        except OverflowError:
+            return False
+    return True
 
 
 def _check_type(value, hint, what: str) -> None:
@@ -48,16 +55,19 @@ def _check_field_types(obj) -> None:
     An ``int`` field takes any integer (``numbers.Integral``, so numpy
     integers too), a ``float`` field any real number, and only a ``bool``
     field a bool; ``tuple[X, ...]`` takes a tuple of such entries and a
-    class annotation an instance of that class.  Values are never
-    converted.
+    class annotation an instance of that class.  A real number beyond
+    float range is no ``float``.  Values are never converted.
     """
-    for name, hint in _field_types(type(obj)).items():
-        _check_type(getattr(obj, name), hint, name)
+    hints = _field_types(type(obj))
+    for field in fields(obj):
+        _check_type(getattr(obj, field.name), hints[field.name], field.name)
 
 
 @dataclass(frozen=True)
 class FrameConfig:
     """Static description of one transmission frame.
+
+    Every field after ``n_doppler_bins`` is keyword-only.
 
     Parameters
     ----------
@@ -65,11 +75,10 @@ class FrameConfig:
         Number of subcarriers per OFDM symbol (equals delay bins).
     n_doppler_bins : int
         Number of OFDM symbols per frame (equals Doppler bins).
-    max_delay_taps : int
-        Channel length in samples; tap delays run from 0 to
-        ``max_delay_taps - 1``.
     cp_len : int
         Cyclic prefix length in samples, prepended to every OFDM symbol.
+        It bounds the channel: every tap delay of a profile run on this
+        frame is at most ``cp_len`` (and below ``n_subcarriers``).
     sample_rate : float
         Baseband sample rate in Hz.
     carrier_freq : float
@@ -79,7 +88,7 @@ class FrameConfig:
 
     n_subcarriers: int
     n_doppler_bins: int
-    max_delay_taps: int = 1
+    _: KW_ONLY
     cp_len: int = 0
     sample_rate: float = 1.024e6
     carrier_freq: float = 5.8e9
@@ -88,16 +97,8 @@ class FrameConfig:
         _check_field_types(self)
         if self.n_subcarriers < 1 or self.n_doppler_bins < 1:
             raise ValueError("grid dimensions must be positive")
-        if not 1 <= self.max_delay_taps <= self.n_subcarriers:
-            raise ValueError(
-                f"max_delay_taps must be in [1, {self.n_subcarriers}], "
-                f"got {self.max_delay_taps}"
-            )
-        if self.cp_len < self.max_delay_taps - 1:
-            raise ValueError(
-                "cp_len must cover the channel memory "
-                f"(need >= {self.max_delay_taps - 1}, got {self.cp_len})"
-            )
+        if self.cp_len < 0:
+            raise ValueError("cp_len must be non-negative")
         if not 0 < self.sample_rate < np.inf:
             raise ValueError("sample_rate must be finite and positive")
         if not 0 <= self.carrier_freq < np.inf:
@@ -111,11 +112,6 @@ class FrameConfig:
     @property
     def frame_size_with_cp(self) -> int:
         return self.n_doppler_bins * (self.n_subcarriers + self.cp_len)
-
-    @property
-    def symbol_duration(self) -> float:
-        """Useful OFDM symbol duration in seconds (CP excluded)."""
-        return self.n_subcarriers / self.sample_rate
 
     @property
     def frame_duration(self) -> float:

@@ -326,15 +326,6 @@ def _json_array(value, what: str) -> tuple:
     return tuple(value)
 
 
-def _json_numbers(value, what: str) -> tuple:
-    """``value`` as a tuple if it is a JSON array of numbers; booleans and
-    strings are rejected."""
-    values = _json_array(value, what)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"{what} entries must be numbers, got {value!r}")
-    return values
-
-
 def _json_fields(cls, raw, what: str) -> dict:
     """The fields of the dataclass ``cls`` that the JSON object ``raw``
     sets, with its arrays as tuples.
@@ -356,9 +347,9 @@ def _parse_profile(raw, sample_rate: float) -> chan.TapProfile:
     has_us = "delays_us" in raw
     if has_us == ("delays_samples" in raw):
         raise ValueError("profile needs exactly one of delays_us, delays_samples")
-    powers_db = _json_numbers(raw["powers_db"], "powers_db")
+    powers_db = _json_array(raw["powers_db"], "powers_db")
     if has_us:
-        delays_us = _json_numbers(raw["delays_us"], "delays_us")
+        delays_us = _json_array(raw["delays_us"], "delays_us")
         return chan.TapProfile.from_microseconds(delays_us, powers_db, sample_rate)
     delays = _json_array(raw["delays_samples"], "delays_samples")
     return chan.TapProfile.from_powers_db(delays, powers_db)
@@ -396,7 +387,6 @@ def desk_preset() -> ExperimentConfig:
     frame = FrameConfig(
         n_subcarriers=64,
         n_doppler_bins=16,
-        max_delay_taps=8,
         cp_len=8,
         sample_rate=1.024e6,
         carrier_freq=5.8e9,
@@ -417,15 +407,12 @@ def table2_preset() -> ExperimentConfig:
     urban six-tap profile with a 5 us delay spread.
 
     Every receiver runs at this scale, since none forms an 8192-square
-    matrix.  On a 2-core Xeon at one or two BLAS threads, the median
-    ``run_trial`` frame at 20 dB and 6000 Hz took about 13-16 ms with the
-    default list and 0.18-0.27 s with all five receivers, 0.12 GB peak RSS.
-    The default list keeps the two full-MMSE references out.
+    matrix; the README gives measured frame times.  The default list keeps
+    the two full-MMSE references out.
     """
     frame = FrameConfig(
         n_subcarriers=512,
         n_doppler_bins=16,
-        max_delay_taps=201,
         cp_len=256,
         sample_rate=40e6,
         carrier_freq=5.8e9,
@@ -448,7 +435,6 @@ def toy_preset() -> ExperimentConfig:
     frame = FrameConfig(
         n_subcarriers=8,
         n_doppler_bins=4,
-        max_delay_taps=3,
         cp_len=2,
         sample_rate=64e3,
         carrier_freq=5.8e9,

@@ -323,14 +323,16 @@ def extract_cfr(h_tl: np.ndarray, config: FrameConfig) -> np.ndarray:
 
     Row ``n`` is the diagonal of the symbol's circularized block after
     DFT conjugation, which reduces to the DFT of the block's time-averaged
-    impulse response.
+    impulse response.  Taps are read at every delay the cyclic prefix
+    covers, ``0 .. min(cp_len, n_subcarriers - 1)``; delays the channel
+    does not use read exact zeros.
     """
     n = config.frame_size
     h_tl = np.asarray(h_tl, dtype=np.complex128)
     if h_tl.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} channel matrix")
     rows = np.arange(n)
-    delays = range(config.max_delay_taps)
+    delays = range(min(config.cp_len, config.n_subcarriers - 1) + 1)
     gains = np.stack([h_tl[rows, _tap_columns(config, d)] for d in delays])
     shape = (len(delays), config.n_doppler_bins, config.n_subcarriers)
     return cfr_from_cir(TimeVaryingCir(tuple(delays), gains.reshape(shape)))
@@ -350,7 +352,7 @@ def symbol_frequency_matrices(cir: TimeVaryingCir) -> np.ndarray:
 
 
 def band_support(
-    h_eq: np.ndarray, config: FrameConfig, tol: float = 1e-12
+    h_eq: np.ndarray, config: FrameConfig, channel_len: int, tol: float = 1e-12
 ) -> tuple[int, float]:
     """Measure the circular band occupied by a delay-Doppler channel matrix.
 
@@ -359,8 +361,9 @@ def band_support(
     Returns ``(band_width, max_out_of_band)`` where ``band_width`` is
     ``n_doppler_bins`` times the shortest circular arc of blocks holding
     every entry above ``tol``, and ``max_out_of_band`` is the largest
-    magnitude outside the nominal ``n_doppler_bins * (max_delay_taps + 1)``
-    band (delay-block offsets ``-1 .. max_delay_taps - 1``).
+    magnitude outside the nominal ``n_doppler_bins * (channel_len + 1)``
+    band (delay-block offsets ``-1 .. channel_len - 1``) of a channel whose
+    tap delays run from 0 to ``channel_len - 1``.
     """
     n = config.frame_size
     h_eq = np.asarray(h_eq)
@@ -375,7 +378,7 @@ def band_support(
     np.maximum.at(peak, offsets.ravel(), np.abs(h_eq).ravel())
 
     block_of_offset = np.arange(n) // n_dop
-    nominal = (block_of_offset < config.max_delay_taps) | (block_of_offset == n_sub - 1)
+    nominal = (block_of_offset < channel_len) | (block_of_offset == n_sub - 1)
     outside = peak[~nominal]
     max_out_of_band = float(outside.max()) if outside.size else 0.0
 

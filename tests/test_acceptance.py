@@ -1,6 +1,7 @@
 """Acceptance gate: the eight release criteria for this package.
 
-One test per criterion, in order.  Every tolerance and runtime bound is
+One test per criterion, in order, and beside criterion 4 a static
+Rayleigh anchor that prints no line.  Every tolerance and runtime bound is
 pinned here.  Each test appends a PASS or FAIL line that conftest.py prints
 in the terminal summary, so a plain pytest run shows the verdict table.
 """
@@ -48,7 +49,7 @@ from otfslink import (
 from otfslink.frame import random_bits
 
 TOY = FrameConfig(
-    n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
+    n_subcarriers=8, n_doppler_bins=4, cp_len=2, sample_rate=64e3
 )
 THREE_TAPS = TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
 
@@ -101,14 +102,15 @@ def test_criterion_1_equivalent_channel_constructions_agree():
 
 def test_criterion_2_band_does_not_widen_with_doppler():
     # the delay-Doppler matrix stays inside the same circular band at any
-    # Doppler; the band is n_doppler_bins * (max_delay_taps + 1) wide
+    # Doppler; the band is n_doppler_bins * (L + 1) wide, L = max delay + 1
     with criterion(2, "Doppler does not widen the delay-Doppler band") as info:
         n = TOY.frame_size
-        nominal = TOY.n_doppler_bins * (TOY.max_delay_taps + 1)
+        channel_len = THREE_TAPS.max_delay + 1
+        nominal = TOY.n_doppler_bins * (channel_len + 1)
         assert nominal == 16
         offsets = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
         block = offsets // TOY.n_doppler_bins
-        in_band = (block < TOY.max_delay_taps) | (block == TOY.n_subcarriers - 1)
+        in_band = (block < channel_len) | (block == TOY.n_subcarriers - 1)
         off_diag = offsets != 0
 
         worst_out = 0.0
@@ -116,7 +118,7 @@ def test_criterion_2_band_does_not_widen_with_doppler():
         for seed, doppler_hz in enumerate((0.0, 1000.0, 3000.0, 6000.0)):
             cir = quiet_cir(THREE_TAPS, doppler_hz, TOY, seed=10 + seed)
             h_eq = build_equivalent_channel(build_time_channel_matrix(cir, TOY), TOY)
-            width, out_max = band_support(h_eq, TOY)
+            width, out_max = band_support(h_eq, TOY, channel_len)
             assert width <= nominal
             worst_out = max(worst_out, out_max)
             if doppler_hz > 0:
@@ -139,8 +141,8 @@ def test_criterion_3_static_channels_equalize_exactly():
         total_bits = 0
         total_errors = 0
         for _ in range(100):
-            n_taps = int(rng.integers(1, frame.max_delay_taps + 1))
-            delays = np.sort(rng.choice(frame.max_delay_taps, n_taps, replace=False))
+            n_taps = int(rng.integers(1, frame.cp_len + 1))
+            delays = np.sort(rng.choice(frame.cp_len, n_taps, replace=False))
             powers_db = rng.uniform(-10.0, 0.0, n_taps)
             profile = TapProfile.from_powers_db(delays.tolist(), powers_db.tolist())
             cir = generate_cir(profile, 0.0, frame, int(rng.integers(2**31)))
@@ -185,6 +187,37 @@ def test_criterion_4_awgn_reference_matches_theory():
         assert record.bits >= 500_000
         assert rel < 0.10
         assert elapsed < 60.0
+
+
+def test_static_rayleigh_single_tap_ofdm_matches_theory():
+    # beside criterion 4, not part of it: at 0 Hz each subcarrier of the
+    # unit-power desk profile sees one complex Gaussian gain, so single-tap
+    # OFDM with QPSK follows the flat Rayleigh curve
+    # P_b = (1 - sqrt(g / (1 + g))) / 2, g = SNR / 2 per bit.  Tolerance,
+    # fixed before running: 4 frame-level standard errors (errors within a
+    # frame share one channel draw), plus 3% of P_b for each tap being a
+    # sum of 32 sinusoids rather than exactly Gaussian.
+    config = harness.ExperimentConfig(
+        frame=harness.desk_preset().frame,
+        profile=harness.desk_preset().profile,
+        snr_db_list=(0.0, 10.0, 20.0),
+        doppler_hz_list=(0.0,),
+        n_trials=400,
+        equalizers=("ofdm_single_tap",),
+    )
+    for si, snr_db in enumerate(config.snr_db_list):
+        ber = np.array([
+            harness.run_trial(
+                config, snr_db, 0.0, harness.sweep_trial_index(config, si, 0, t)
+            )["ofdm_single_tap"]
+            for t in range(config.n_trials)
+        ]) / config.frame.bits_per_frame
+        g = 10.0 ** (snr_db / 10.0) / 2.0
+        expected = 0.5 * (1.0 - np.sqrt(g / (1.0 + g)))
+        stderr = ber.std(ddof=1) / np.sqrt(ber.size)
+        assert abs(ber.mean() - expected) <= 4.0 * stderr + 0.03 * expected, (
+            snr_db, ber.mean(), expected, stderr
+        )
 
 
 def test_criterion_5_genie_cancellation_identity():
@@ -291,7 +324,7 @@ def test_criterion_8_transform_suite():
         start = time.perf_counter()
         tol = 1e-12
         for n_sub, n_dop in REFERENCE_GRIDS:
-            config = FrameConfig(n_sub, n_dop, max_delay_taps=3, cp_len=3)
+            config = FrameConfig(n_sub, n_dop, cp_len=3)
             n = config.frame_size
 
             f_ext = extended_fft_matrix(config)

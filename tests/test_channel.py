@@ -43,7 +43,7 @@ from otfslink import harness
 from otfslink.channel import N_SINUSOIDS, TU6_DELAYS_US, TU6_POWERS_DB, awgn
 
 TOY = FrameConfig(
-    n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
+    n_subcarriers=8, n_doppler_bins=4, cp_len=2, sample_rate=64e3
 )
 THREE_TAPS = TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
 
@@ -126,7 +126,7 @@ class TestGenerateCir:
         assert cir.gains.shape == (3, TOY.n_doppler_bins, TOY.n_subcarriers)
 
     def test_unused_tap_rows_are_zero(self):
-        config = FrameConfig(8, 4, max_delay_taps=4, cp_len=3, sample_rate=64e3)
+        config = FrameConfig(8, 4, cp_len=3, sample_rate=64e3)
         profile = TapProfile.from_powers_db([0, 2], [0.0, 0.0])
         cir = generate_cir(profile, 0.0, config, seed=5)
         assert cir.delays == (0, 2)
@@ -140,7 +140,7 @@ class TestGenerateCir:
             assert h[rows, cols].all() if used else not h[rows, cols].any()
 
     def test_stores_exactly_the_profile_delays(self):
-        config = FrameConfig(512, 16, max_delay_taps=201, cp_len=256, sample_rate=40e6)
+        config = FrameConfig(512, 16, cp_len=256, sample_rate=40e6)
         profile = tu6_profile(config.sample_rate)
         cir = fast_cir(profile, 6000.0, config, seed=3)
         assert cir.delays == profile.delays
@@ -192,7 +192,7 @@ class TestGenerateCir:
     def test_offsets_split_on_any_subcarrier_count(self, n_subcarriers, doppler_hz):
         # the offsets split into blocks of the smallest divisor of M not
         # below sqrt(M): 3 blocks of 4 at M = 12, one block of 7 at M = 7
-        frame = FrameConfig(n_subcarriers, 4, max_delay_taps=3, cp_len=2, sample_rate=64e3)
+        frame = FrameConfig(n_subcarriers, 4, cp_len=2, sample_rate=64e3)
         cir = fast_cir(THREE_TAPS, doppler_hz, frame, seed=31)
         track = physical_gains(THREE_TAPS, doppler_hz, frame, seed=31)
         per_symbol = track.reshape(3, 4, n_subcarriers + 2)[:, :, 2:]
@@ -324,7 +324,7 @@ class TestFixedCir:
                 cir_from_gains(np.ones(shape), TOY)
 
     def test_cir_from_gains_drops_zero_rows(self):
-        config = FrameConfig(8, 4, max_delay_taps=4, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         cir = cir_from_gains(np.array([0.0, -1.0, 0.0, 2.0j]), config)
         assert cir.delays == (1, 3)
         assert_array_equal(cir.gains[0], -1.0)
@@ -336,7 +336,7 @@ class TestFixedCir:
 
 class TestTimeChannelMatrix:
     def test_static_two_tap_circulant(self):
-        config = FrameConfig(4, 1, max_delay_taps=2, cp_len=1)
+        config = FrameConfig(4, 1, cp_len=1)
         cir = cir_from_gains(np.array([1.0, 0.5]), config)
         expected = np.array(
             [
@@ -363,7 +363,7 @@ class TestTimeChannelMatrix:
             assert ((cols // n_sub) == block).all()
 
     def test_matches_per_entry_loop(self):
-        config = FrameConfig(8, 4, max_delay_taps=6, cp_len=5, sample_rate=64e3)
+        config = FrameConfig(8, 4, cp_len=5, sample_rate=64e3)
         profile = TapProfile.from_powers_db([0, 2, 5], [0.0, -1.0, -3.0])
         cir = fast_cir(profile, 1000.0, config, seed=3)
         m = config.n_subcarriers
@@ -384,7 +384,7 @@ class TestTimeChannelMatrix:
 
     def test_rejects_mismatched_config(self):
         cir = generate_cir(THREE_TAPS, 0.0, TOY, seed=1)
-        other = FrameConfig(16, 4, max_delay_taps=3, cp_len=2)
+        other = FrameConfig(16, 4, cp_len=2)
         with pytest.raises(ValueError, match="frame config"):
             build_time_channel_matrix(cir, other)
         # the kernels read the frame size from the realization
@@ -493,13 +493,13 @@ class TestEquivalentChannel:
 
 class TestCfr:
     def test_static_single_tap_constant(self):
-        config = FrameConfig(8, 4, max_delay_taps=1, cp_len=0)
+        config = FrameConfig(8, 4, cp_len=0)
         cir = cir_from_gains(np.array([0.3 - 0.4j]), config)
         cfr = cfr_from_cir(cir)
         assert_allclose(cfr, 0.3 - 0.4j, atol=1e-14)
 
     def test_static_two_taps_dft_oracle(self):
-        config = FrameConfig(8, 2, max_delay_taps=2, cp_len=1)
+        config = FrameConfig(8, 2, cp_len=1)
         cir = cir_from_gains(np.array([1.0, 1.0]), config)
         cfr = cfr_from_cir(cir)
         k = np.arange(8)
@@ -525,7 +525,7 @@ class TestCfr:
 
 class TestSymbolFrequencyMatrices:
     def test_static_matches_dense_conjugation(self):
-        config = FrameConfig(8, 2, max_delay_taps=2, cp_len=1)
+        config = FrameConfig(8, 2, cp_len=1)
         cir = cir_from_gains(np.array([1.0, 0.5j]), config)
         mats = symbol_frequency_matrices(cir)
         f = dft_matrix(8)
@@ -554,22 +554,22 @@ class TestSymbolFrequencyMatrices:
 
 class TestBandSupport:
     def test_identity_occupies_one_block(self):
-        width, out = band_support(np.eye(TOY.frame_size), TOY)
+        width, out = band_support(np.eye(TOY.frame_size), TOY, 1)
         assert width == TOY.n_doppler_bins
         assert out == 0.0
 
     def test_zero_matrix(self):
-        width, out = band_support(np.zeros((TOY.frame_size, TOY.frame_size)), TOY)
+        width, out = band_support(np.zeros((TOY.frame_size, TOY.frame_size)), TOY, 1)
         assert width == 0
         assert out == 0.0
 
     def test_static_single_tap_channel(self):
-        config = FrameConfig(8, 4, max_delay_taps=1, cp_len=0)
+        config = FrameConfig(8, 4, cp_len=0)
         cir = generate_cir(single_tap_profile(), 0.0, config, seed=3)
         h_eq = build_equivalent_channel(
             build_time_channel_matrix(cir, config), config
         )
-        width, out = band_support(h_eq, config)
+        width, out = band_support(h_eq, config, 1)
         assert width == config.n_doppler_bins
         assert out < 1e-12
 
@@ -577,11 +577,12 @@ class TestBandSupport:
     def test_band_does_not_grow_with_doppler(self, doppler):
         cir = fast_cir(THREE_TAPS, doppler, TOY, seed=61)
         h_eq = build_equivalent_channel(build_time_channel_matrix(cir, TOY), TOY)
-        width, out = band_support(h_eq, TOY)
-        nominal = TOY.n_doppler_bins * (TOY.max_delay_taps + 1)
+        channel_len = THREE_TAPS.max_delay + 1
+        width, out = band_support(h_eq, TOY, channel_len)
+        nominal = TOY.n_doppler_bins * (channel_len + 1)
         assert width <= nominal
         assert out < 1e-12
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            band_support(np.eye(7), TOY)
+            band_support(np.eye(7), TOY, 1)

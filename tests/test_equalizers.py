@@ -41,7 +41,7 @@ from otfslink.equalizers import FDE_MODES
 from otfslink.frame import random_bits
 
 TOY = FrameConfig(
-    n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
+    n_subcarriers=8, n_doppler_bins=4, cp_len=2, sample_rate=64e3
 )
 THREE_TAPS = TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
 
@@ -257,7 +257,7 @@ class TestOfdmSingleTap:
 
     def test_awgn_ber_matches_q_function(self):
         # unit channel, SNR 10 dB, one million bits
-        config = FrameConfig(64, 16, max_delay_taps=1, cp_len=0)
+        config = FrameConfig(64, 16, cp_len=0)
         cir = fixed_cir(single_tap_profile(), config)
         cfr = cfr_from_cir(cir)
         snr_db = 10.0

@@ -10,7 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfslink import FrameConfig, qpsk_map, qpsk_slice
+from otfslink import (
+    ExperimentConfig,
+    FrameConfig,
+    TapProfile,
+    cir_from_gains,
+    fixed_cir,
+    generate_cir,
+    qpsk_map,
+    qpsk_slice,
+)
 from otfslink.frame import random_bits
 
 ROOT2 = np.sqrt(2.0)
@@ -18,11 +27,10 @@ ROOT2 = np.sqrt(2.0)
 
 class TestFrameConfig:
     def test_basic_properties(self):
-        config = FrameConfig(64, 16, max_delay_taps=8, cp_len=8, sample_rate=1.024e6)
+        config = FrameConfig(64, 16, cp_len=8, sample_rate=1.024e6)
         assert config.frame_size == 1024
         assert config.frame_size_with_cp == 16 * 72
         assert config.bits_per_frame == 2048
-        assert config.symbol_duration == pytest.approx(62.5e-6)
         assert config.frame_duration == pytest.approx(16 * 72 / 1.024e6)
 
     def test_doppler_from_speed(self):
@@ -37,9 +45,10 @@ class TestFrameConfig:
         [
             dict(n_subcarriers=0, n_doppler_bins=4),
             dict(n_subcarriers=8, n_doppler_bins=0),
-            dict(n_subcarriers=8, n_doppler_bins=4, max_delay_taps=0),
-            dict(n_subcarriers=8, n_doppler_bins=4, max_delay_taps=9),
-            dict(n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=1),
+            dict(n_subcarriers=8, n_doppler_bins=4, cp_len=-1),
+            # integers beyond float range
+            dict(n_subcarriers=8, n_doppler_bins=4, sample_rate=10**400),
+            dict(n_subcarriers=8, n_doppler_bins=4, carrier_freq=10**400),
             dict(n_subcarriers=8, n_doppler_bins=4, sample_rate=0.0),
             dict(n_subcarriers=8, n_doppler_bins=4, carrier_freq=-1.0),
             dict(n_subcarriers=8, n_doppler_bins=4, sample_rate=float("nan")),
@@ -52,8 +61,39 @@ class TestFrameConfig:
         with pytest.raises(ValueError):
             FrameConfig(**kwargs)
 
+    def test_fields_after_the_grid_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            FrameConfig(8, 4, 3)
+
+    @pytest.mark.parametrize(
+        "frame, delays",
+        [
+            (FrameConfig(8, 4, cp_len=1), [0, 2]),
+            # a delay of n_subcarriers would wrap onto delay 0
+            (FrameConfig(8, 4, cp_len=9), [0, 8]),
+        ],
+        ids=["beyond-cp_len", "at-n_subcarriers"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["ExperimentConfig", "generate_cir", "fixed_cir", "cir_from_gains"]
+    )
+    def test_profile_beyond_the_cyclic_prefix_is_rejected(self, frame, delays, entry):
+        profile = TapProfile.from_powers_db(delays, [0.0, 0.0])
+        calls = {
+            "ExperimentConfig": lambda: ExperimentConfig(frame, profile),
+            "generate_cir": lambda: generate_cir(profile, 0.0, frame, 1),
+            "fixed_cir": lambda: fixed_cir(profile, frame),
+            "cir_from_gains": lambda: cir_from_gains(np.ones(max(delays) + 1), frame),
+        }
+        with pytest.raises(ValueError, match="cyclic prefix|entries"):
+            calls[entry]()
+        # one delay less fits
+        fitting = TapProfile.from_powers_db([0, max(delays) - 1], [0.0, 0.0])
+        fixed_cir(fitting, frame)
+        cir_from_gains(np.ones(max(delays)), frame)
+
     def test_cp_may_exceed_channel_memory(self):
-        FrameConfig(8, 4, max_delay_taps=3, cp_len=7)
+        FrameConfig(8, 4, cp_len=7)
 
 
 class TestQpskMap:

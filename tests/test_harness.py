@@ -26,7 +26,7 @@ from otfslink.cli import main
 from otfslink.frame import qpsk_slice
 
 TOY_FRAME = FrameConfig(
-    n_subcarriers=8, n_doppler_bins=4, max_delay_taps=3, cp_len=2, sample_rate=64e3
+    n_subcarriers=8, n_doppler_bins=4, cp_len=2, sample_rate=64e3
 )
 THREE_TAPS = TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
 
@@ -137,6 +137,14 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match="^delays must be tuple"):
             TapProfile.from_powers_db(delays, [0.0, 0.0])
 
+    def test_integers_beyond_float_range_are_no_floats(self):
+        with pytest.raises(ValueError, match="^snr_db_list must be tuple"):
+            toy_config(snr_db_list=(0.0, 10**400))
+        with pytest.raises(ValueError, match="^delays_us must be tuple"):
+            TapProfile.from_microseconds([10**400], [0.0], 64e3)
+        # a large integer within float range is still a float, unconverted
+        assert toy_config(snr_db_list=(2**1000,)).snr_db_list == (2**1000,)
+
     def test_numpy_scalars_are_accepted(self):
         config = toy_config(
             n_trials=np.int64(3), snr_db_list=(np.float64(5.0), np.float64(10.0))
@@ -170,6 +178,27 @@ class TestRunTrial:
         b = harness.run_trial(config, 10.0, 1000.0, trial_index=5)
         assert a == b
         assert set(a) == set(harness.EQUALIZER_NAMES)
+
+    def test_mmse_first_stage_is_full_lmmse_at_zero_doppler(self):
+        # a static channel is diagonal over the delay-Doppler grid's
+        # transform, so the per-bin MMSE coefficients are the full linear
+        # MMSE solution and both make the same decisions on every frame
+        config = replace(
+            harness.desk_preset(),
+            snr_db_list=(0.0, 10.0, 20.0),
+            doppler_hz_list=(0.0,),
+            n_trials=16,
+            equalizers=("otfs_fde", "otfs_full_mmse"),
+            fde_mode="mmse",
+        )
+        total = 0
+        for si, snr_db in enumerate(config.snr_db_list):
+            for t in range(config.n_trials):
+                index = harness.sweep_trial_index(config, si, 0, t)
+                counts = harness.run_trial(config, snr_db, 0.0, index)
+                assert counts["otfs_fde"] == counts["otfs_full_mmse"], (snr_db, t)
+                total += counts["otfs_fde"]
+        assert total > 0
 
     def test_counts_do_not_depend_on_enabled_set(self):
         # the random stream layout is fixed, so results are pairable even
@@ -495,7 +524,6 @@ def config_document() -> dict:
         "frame": {
             "n_subcarriers": 8,
             "n_doppler_bins": 4,
-            "max_delay_taps": 3,
             "cp_len": 2,
             "sample_rate": 64000.0,
         },
@@ -517,7 +545,6 @@ def config_document() -> dict:
 READ_CASES = {
     "frame.n_subcarriers": (16, 16),
     "frame.n_doppler_bins": (8, 8),
-    "frame.max_delay_taps": (4, 4),
     "frame.cp_len": (5, 5),
     "frame.sample_rate": (128000, 128000),
     "frame.carrier_freq": (2.4e9, 2.4e9),
@@ -664,7 +691,7 @@ class TestPresets:
     def test_presets_construct_valid_configs(self, name):
         config = harness.PRESETS[name]()
         assert isinstance(config, harness.ExperimentConfig)
-        assert config.profile.max_delay < config.frame.max_delay_taps
+        assert config.profile.max_delay <= config.frame.cp_len
 
     def test_desk_preset_scale(self):
         config = harness.desk_preset()
@@ -849,6 +876,12 @@ class TestCli:
             or d["frame"].update(sample_rate=1e308),
             lambda d: d.update(profile={"delays_samples": [0], "powers_db": [4000]}),
             lambda d: d.update(profile={"delays_samples": [0], "powers_db": [-4000]}),
+            # integers beyond float range
+            lambda d: d["frame"].update(sample_rate=10**400),
+            lambda d: d.update(snr_db_list=[0.0, 10**400]),
+            lambda d: d.update(profile={"delays_us": [10**400], "powers_db": [0.0]}),
+            # the channel length is the profile's; the frame has no such field
+            lambda d: d["frame"].update(max_delay_taps=3),
         ],
     )
     def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):

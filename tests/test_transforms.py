@@ -41,7 +41,7 @@ def random_grid(config: FrameConfig, seed: int) -> np.ndarray:
 
 def reference_configs() -> list[FrameConfig]:
     return [
-        FrameConfig(n_sub, n_dop, max_delay_taps=3, cp_len=3)
+        FrameConfig(n_sub, n_dop, cp_len=3)
         for n_sub, n_dop in REFERENCE_GRIDS
     ]
 
@@ -73,7 +73,7 @@ class TestReorder:
 
     def test_index_formula(self):
         # permutation equals floor(i / n_sub) + (i mod n_sub) * n_dop
-        config = FrameConfig(8, 4, max_delay_taps=3, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         perm = reorder_indices(config).perm
         n_sub, n_dop = 8, 4
         for i in range(32):
@@ -92,7 +92,7 @@ class TestReorder:
         assert set(np.unique(dense)) <= {0.0, 1.0}
 
     def test_apply_matches_dense_and_inverts(self):
-        config = FrameConfig(8, 4, max_delay_taps=3, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         xi = reorder_indices(config)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -173,7 +173,7 @@ class TestDsft:
     def test_matches_explicit_double_transform(self):
         # columns of the DD grid see an inverse Doppler DFT, rows of the
         # result a forward delay DFT
-        config = FrameConfig(8, 4, max_delay_taps=3, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         grid = random_grid(config, 29)
         f_dop = dft_matrix(4)
         f_sub = dft_matrix(8)
@@ -183,14 +183,14 @@ class TestDsft:
 
 class TestCyclicPrefix:
     def test_block_example(self):
-        config = FrameConfig(4, 1, max_delay_taps=3, cp_len=2)
+        config = FrameConfig(4, 1, cp_len=2)
         sig = np.array([[1.0, 2.0, 3.0, 4.0]])
         with_cp = cp_add(sig, config)
         assert_allclose(with_cp, [3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
         assert_allclose(cp_remove(with_cp, config), sig)
 
     def test_two_symbols(self):
-        config = FrameConfig(4, 2, max_delay_taps=2, cp_len=2)
+        config = FrameConfig(4, 2, cp_len=2)
         sig = np.arange(8, dtype=complex).reshape(2, 4)
         with_cp = cp_add(sig, config)
         assert_allclose(
@@ -198,7 +198,7 @@ class TestCyclicPrefix:
         )
 
     def test_zero_length_passthrough(self):
-        config = FrameConfig(4, 2, max_delay_taps=1, cp_len=0)
+        config = FrameConfig(4, 2, cp_len=0)
         sig = np.arange(8, dtype=complex).reshape(2, 4)
         assert_allclose(cp_add(sig, config), sig.ravel())
         assert_allclose(cp_remove(cp_add(sig, config), config), sig)
@@ -261,7 +261,7 @@ class TestDemodulator:
         assert_allclose(fast, full, atol=ATOL)
 
     def test_impulse_survives_round_trip(self):
-        config = FrameConfig(8, 4, max_delay_taps=3, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         grid = np.zeros((4, 8), dtype=complex)
         grid[2, 5] = 1.0
         rx = otfs_demodulate(cp_remove(otfs_modulate(grid, config), config))
@@ -270,7 +270,7 @@ class TestDemodulator:
 
 class TestTfStage:
     def test_identity_channel_equals_dsft(self):
-        config = FrameConfig(8, 4, max_delay_taps=3, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         grid = random_grid(config, 59)
         tf = tf_stage(cp_remove(otfs_modulate(grid, config), config))
         assert_allclose(tf, dsft_forward(grid), atol=ATOL)
@@ -323,7 +323,7 @@ class TestComposedOperators:
         assert_allclose(ops.receive @ ops.transmit, np.eye(n), atol=1e-10)
 
     def test_transmit_matches_fast_modulator(self):
-        config = FrameConfig(8, 4, max_delay_taps=3, cp_len=3)
+        config = FrameConfig(8, 4, cp_len=3)
         grid = random_grid(config, 79)
         dense = composed_operators(config).transmit @ grid.ravel(order="F")
         fast = otfs_modulate_fast(grid).ravel()
@@ -337,7 +337,7 @@ class TestComposedOperators:
 )
 def test_chain_round_trip_property(pair, seed):
     n_sub, n_dop = pair
-    config = FrameConfig(n_sub, n_dop, max_delay_taps=2, cp_len=2)
+    config = FrameConfig(n_sub, n_dop, cp_len=2)
     grid = random_grid(config, seed)
     rx = otfs_demodulate(otfs_modulate_fast(grid))
     assert np.max(np.abs(rx - grid)) < ATOL
