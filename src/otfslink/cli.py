@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inspect = sub.add_parser(
         "inspect-channel",
-        help="write |H| of one equivalent delay-Doppler channel as dense CSV",
+        help="write |H| of one equivalent delay-Doppler channel's taps as CSV",
     )
     _add_source_options(inspect)
     rate = inspect.add_mutually_exclusive_group(required=True)
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument(
         "--speed-kmh", type=float, metavar="KMH", help="alternative to --doppler"
     )
-    inspect.add_argument("--out", default="heatmap.csv", metavar="FILE")
+    inspect.add_argument("--out", default="channel.csv", metavar="FILE")
     return parser
 
 
@@ -102,9 +102,8 @@ def _cmd_inspect(args: argparse.Namespace) -> None:
         if args.doppler is not None
         else config.frame.doppler_from_speed(args.speed_kmh)
     )
-    harness.inspect_channel(config, doppler, args.out)
-    n = config.frame.frame_size
-    print(f"wrote {n}x{n} magnitude grid (doppler {doppler:g} Hz) to {args.out}")
+    rows = harness.inspect_channel(config, doppler, args.out)
+    print(f"wrote {rows} coupling taps (doppler {doppler:g} Hz) to {args.out}")
 
 
 def main(argv: "list[str] | None" = None) -> int:

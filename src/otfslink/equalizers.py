@@ -57,33 +57,24 @@ def _clip(coupling: np.ndarray, clip_threshold: float, delays: tuple[int, ...]) 
     magnitudes both lie below ``clip_threshold`` times the largest magnitude.
 
     ``coupling`` holds one ``(n_doppler_bins, n_subcarriers)`` row per Gram
-    delay in ``delays``, and each entry's partner is found by
-    :func:`_coupling_partner`.  The two magnitudes are equal but for
-    rounding, so deciding a pair on the larger one keeps both entries or
-    neither, and the clipped matrix stays Hermitian.
+    delay in ``delays``.  Entry ``(q, k, s)`` pairs with ``(-q mod M, -k mod
+    N, (s - q) mod M)``, read by two slices per delay and Doppler half.  The
+    two magnitudes are equal but for rounding, so deciding a pair on the
+    larger one keeps both entries or neither, and the clipped matrix stays
+    Hermitian.
     """
     if clip_threshold > 0.0:
         mags = np.abs(coupling)
-        peak = mags.max()
-        if peak > 0.0:
-            small = mags < clip_threshold * peak
-            small &= _coupling_partner(small, delays)
-            np.copyto(coupling, 0.0, where=small)
-
-
-def _coupling_partner(values: np.ndarray, delays: tuple[int, ...]) -> np.ndarray:
-    """Each Gram coupling entry's partner: ``(q, k, s)`` pairs with ``(-q
-    mod M, -k mod N, (s - q) mod M)``, by two slices per delay and Doppler
-    half."""
-    n_sub = values.shape[2]
-    row = {q: i for i, q in enumerate(delays)}
-    partner = np.empty_like(values)
-    for out, q in zip(partner, delays):
-        src = values[row[-q % n_sub]]
-        for dst, flipped in ((out[:1], src[:1]), (out[1:], src[:0:-1])):
-            dst[:, q:] = flipped[:, : n_sub - q]
-            dst[:, :q] = flipped[:, n_sub - q :]
-    return partner
+        small = mags < clip_threshold * mags.max()
+        n_sub = small.shape[2]
+        row = {q: i for i, q in enumerate(delays)}
+        partner = np.empty_like(small)
+        for out, q in zip(partner, delays):
+            src = small[row[-q % n_sub]]
+            for dst, flipped in ((out[:1], src[:1]), (out[1:], src[:0:-1])):
+                dst[:, q:] = flipped[:, : n_sub - q]
+                dst[:, :q] = flipped[:, n_sub - q :]
+        np.copyto(coupling, 0.0, where=small & partner)
 
 
 def mmse_solve(grams: TimeVaryingCir, noise_var: float, rhs: np.ndarray) -> np.ndarray:
@@ -135,10 +126,12 @@ def dde_build_circulant(
     if not 0.0 <= clip_threshold <= 1.0:
         raise ValueError("clip_threshold must lie in [0, 1]")
     n_sub = grams.gains.shape[2]
-    if {-q % n_sub for q in grams.delays} != set(grams.delays):
-        raise ValueError("Gram delays must be closed under negation mod n_subcarriers")
+    if grams.delays[:1] != (0,) or {-q % n_sub for q in grams.delays} != set(grams.delays):
+        raise ValueError(
+            "Gram delays must start at 0 and be closed under negation mod n_subcarriers"
+        )
     coupling = doppler_coupling(grams).gains
-    # symbol_grams always holds delay 0, the first of its ascending delays
+    # delay 0 holds the diagonal
     diag = coupling[0, 0].real.copy()
     coupling[0, 0] = 0.0
     _clip(coupling, clip_threshold, grams.delays)

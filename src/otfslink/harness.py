@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ValueError("doppler_hz_list must be non-empty, finite and non-negative")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
         if not self.equalizers:
             raise ValueError("at least one equalizer must be enabled")
         unknown = set(self.equalizers) - set(EQUALIZER_NAMES)
@@ -99,11 +101,18 @@ def sweep_trial_index(
     return (snr_index * n_dop + doppler_index) * config.n_trials + trial
 
 
+def _trial_streams(base_seed: int, trial_index: int) -> list[np.random.SeedSequence]:
+    """The payload, channel and noise seed streams of one trial, spawned
+    from ``(base_seed, trial_index)`` alone."""
+    return np.random.SeedSequence(entropy=(base_seed, trial_index)).spawn(3)
+
+
 def _draw_channel(
-    config: ExperimentConfig, doppler_hz: float, seed: "int | np.random.SeedSequence"
+    config: ExperimentConfig, doppler_hz: float, seed: np.random.SeedSequence
 ) -> chan.TimeVaryingCir:
-    """The channel realization of one trial: a fresh Rayleigh draw, or the
-    fixed taps of a non-fading config."""
+    """The channel realization of one trial, from its channel stream
+    ``seed``: a fresh Rayleigh draw, or the fixed taps of a non-fading
+    config."""
     if config.fading:
         return chan.generate_cir(config.profile, doppler_hz, config.frame, seed)
     if doppler_hz != 0:
@@ -122,8 +131,7 @@ def run_trial(
     not depend on which equalizers are enabled.
     """
     frame = config.frame
-    root = np.random.SeedSequence(entropy=(config.base_seed, trial_index))
-    bits_seed, channel_seed, noise_seed = root.spawn(3)
+    bits_seed, channel_seed, noise_seed = _trial_streams(config.base_seed, trial_index)
 
     bits = random_bits(frame.bits_per_frame, np.random.default_rng(bits_seed))
     symbols = qpsk_map(bits, frame)
@@ -135,11 +143,7 @@ def run_trial(
 
     cir = _draw_channel(config, doppler_hz, channel_seed)
     var = chan.noise_variance(snr_db)
-    noise = (
-        chan.awgn(shape, var, np.random.default_rng(noise_seed))
-        if var > 0.0
-        else np.zeros(shape, dtype=np.complex128)
-    )
+    noise = chan.awgn(shape, var, np.random.default_rng(noise_seed))
 
     enabled = set(config.equalizers)
     errors: dict[str, int] = {}
@@ -470,27 +474,24 @@ def with_overrides(
     return replace(config, **{key: v for key, v in overrides.items() if v is not None})
 
 
-def inspect_channel(config: ExperimentConfig, doppler_hz: float, path: str) -> None:
-    """Write the magnitude of one equivalent-channel realization as a dense
-    CSV (one row per delay-Doppler output index).
+def inspect_channel(config: ExperimentConfig, doppler_hz: float, path: str) -> int:
+    """Write the magnitudes of one equivalent delay-Doppler channel's taps
+    as CSV and return the number of rows, ``N * P * M``.
 
-    The realization is seeded by ``config.base_seed`` itself, not by any
-    trial's channel stream, so it differs from the channels a sweep draws;
-    a non-fading config gives its fixed taps.
-
-    The equivalent channel is circulant over Doppler, so every row is read
-    from the dense blocks of the realization's
-    :func:`~otfslink.channel.doppler_coupling`; no ``frame_size``-square
-    matrix is formed.
+    The realization is the channel that trial 0 of a sweep with
+    ``config.base_seed`` draws; a non-fading config gives its fixed taps.
+    Row ``delay,doppler,bin,magnitude`` with tap delay ``q``, Doppler
+    shift ``k`` and delay bin ``l`` is the magnitude of entry ``[(l, k'),
+    ((l - q) mod M, (k' - k) mod N)]`` of the equivalent channel (vector
+    index ``l * N + k'``) for every ``k'``: the realization's
+    :func:`~otfslink.channel.doppler_coupling`.  Every other entry is zero.
     """
-    frame = config.frame
-    cir = _draw_channel(config, doppler_hz, config.base_seed)
-    mags = np.abs(chan.symbol_channel_blocks(chan.doppler_coupling(cir)))
-    k = np.arange(frame.n_doppler_bins)
-    shifts = (k[:, None] - k[None, :]) % frame.n_doppler_bins
+    _, channel_seed, _ = _trial_streams(config.base_seed, 0)
+    cir = _draw_channel(config, doppler_hz, channel_seed)
+    coupling = chan.doppler_coupling(cir)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for delay in range(frame.n_subcarriers):
-            # row (delay, k), column (l', k') holds |c[(k - k') mod N, delay, l']|
-            rows = mags[shifts, delay].transpose(0, 2, 1).reshape(len(k), -1)
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("delay,doppler,bin,magnitude\n")
+        for delay, mags in zip(coupling.delays, np.abs(coupling.gains).tolist()):
+            for k, row in enumerate(mags):
+                fh.writelines(f"{delay},{k},{l},{v!r}\n" for l, v in enumerate(row))
+    return coupling.gains.size

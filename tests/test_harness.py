@@ -725,39 +725,110 @@ class TestWithOverrides:
             harness.with_overrides(harness.toy_preset(), equalizers=("bogus",))
 
 
+class TestNegativeBaseSeed:
+    """A negative base seed fails where the config is built, by name, not
+    inside the first trial's seed stream."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: toy_config(base_seed=-1),
+            lambda: replace(toy_config(), base_seed=-1),
+            lambda: harness.with_overrides(harness.toy_preset(), seed=-1),
+            lambda: harness.load_experiment_config({**config_document(), "base_seed": -1}),
+        ],
+        ids=["constructor", "replace", "with_overrides", "json"],
+    )
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(ValueError, match="^base_seed must be non-negative$"):
+            build()
+
+    @pytest.mark.parametrize("command", [["run"], ["inspect-channel", "--doppler", "0"]])
+    def test_cli_names_the_field(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        argv = command + ["--preset", "toy", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: base_seed must be non-negative\n"
+        assert not out.exists()
+
+
+CHANNEL_HEADER = "delay,doppler,bin,magnitude"
+
+
+def rebuild_from_rows(path: Path, frame: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The dense ``|H_eq|`` that ``inspect_channel``'s rows describe, and
+    their delay column: row ``(q, k, l)`` sets entry ``[(l, k'), ((l - q)
+    mod M, (k' - k) mod N)]`` for every ``k'``, vector index ``l * N + k'``."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == CHANNEL_HEADER
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    q, k, l = table[:, :3].astype(int).T
+    n_dop, n_sub = frame.n_doppler_bins, frame.n_subcarriers
+    k_out = np.arange(n_dop)
+    rows = l[:, None] * n_dop + k_out
+    cols = ((l - q) % n_sub)[:, None] * n_dop + (k_out - k[:, None]) % n_dop
+    dense = np.zeros((frame.frame_size, frame.frame_size))
+    # an entry named twice would add up and show against the oracle
+    np.add.at(dense, (rows, cols), table[:, 3:])
+    return dense, q
+
+
+def trial_zero_channel(monkeypatch, config, doppler_hz):
+    """The channel realization that trial 0 of a sweep draws."""
+    drawn = []
+
+    def spy(*args):
+        drawn.append(generate_cir(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness.chan, "generate_cir", spy)
+    harness.run_trial(config, 20.0, doppler_hz, trial_index=0)
+    (cir,) = drawn
+    return cir
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestInspectChannel:
-    def test_writes_dense_magnitude_grid(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        harness.inspect_channel(toy_config(), 0.0, str(path))
-        rows = [line.split(",") for line in path.read_text().splitlines()]
-        n = TOY_FRAME.frame_size
-        assert len(rows) == n
-        assert all(len(row) == n for row in rows)
-        values = np.array([[float(v) for v in row] for row in rows])
-        assert (values >= 0).all()
-        assert values.max() > 0
+    def test_writes_one_row_per_coupling_tap(self, tmp_path):
+        path = tmp_path / "channel.csv"
+        rows = harness.inspect_channel(toy_config(), 0.0, str(path))
+        lines = path.read_text().splitlines()
+        # N * P * M rows after the header
+        assert rows == len(lines) - 1 == 4 * 3 * 8
+        assert lines[0] == CHANNEL_HEADER
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        # one row per (delay, doppler, bin), delay-major
+        index = [tuple(int(v) for v in row) for row in table[:, :3]]
+        assert index == [(q, k, l) for q in (0, 1, 2) for k in range(4) for l in range(8)]
+        assert (table[:, 3] >= 0).all()
+        assert table[:, 3].max() > 0
 
     @pytest.mark.parametrize("doppler_hz", [0.0, 1280.0])
     @pytest.mark.parametrize("preset", ["toy", "desk"])
-    def test_grid_is_the_equivalent_channel_magnitude(self, tmp_path, preset, doppler_hz):
+    def test_grid_is_the_equivalent_channel_magnitude(
+        self, tmp_path, monkeypatch, preset, doppler_hz
+    ):
         config = harness.PRESETS[preset]()
-        path = tmp_path / "grid.csv"
-        harness.inspect_channel(config, doppler_hz, str(path))
-        cir = generate_cir(config.profile, doppler_hz, config.frame, config.base_seed)
+        path = tmp_path / "channel.csv"
+        rows = harness.inspect_channel(config, doppler_hz, str(path))
+        assert rows == len(config.profile.delays) * config.frame.frame_size
+        dense, delays = rebuild_from_rows(path, config.frame)
+        # the band is the profile's delays, whatever the Doppler
+        assert sorted(set(delays.tolist())) == sorted(config.profile.delays)
+        cir = trial_zero_channel(monkeypatch, config, doppler_hz)
         h_tl = build_time_channel_matrix(cir, config.frame)
         h_eq = build_equivalent_channel(h_tl, config.frame)
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-        assert_allclose(values, np.abs(h_eq), rtol=0, atol=1e-12)
+        assert_allclose(dense, np.abs(h_eq), rtol=0, atol=1e-12)
 
     def test_non_fading_grid_is_the_fixed_channel(self, tmp_path):
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "channel.csv"
         config = replace(toy_config(fading=False), base_seed=5)
-        harness.inspect_channel(config, 0.0, str(path))
+        assert harness.inspect_channel(config, 0.0, str(path)) == 3 * TOY_FRAME.frame_size
+        dense, delays = rebuild_from_rows(path, TOY_FRAME)
+        assert sorted(set(delays.tolist())) == list(THREE_TAPS.delays)
         h_tl = build_time_channel_matrix(fixed_cir(THREE_TAPS, TOY_FRAME), TOY_FRAME)
         h_eq = build_equivalent_channel(h_tl, TOY_FRAME)
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-        assert_allclose(values, np.abs(h_eq), rtol=0, atol=1e-12)
+        assert_allclose(dense, np.abs(h_eq), rtol=0, atol=1e-12)
 
     def test_peak_memory_stays_below_one_dense_matrix(self, tmp_path):
         config = harness.desk_preset()
@@ -914,23 +985,24 @@ class TestCli:
         assert main(["run", "--preset", "toy", "--trials", "abc"]) == 1
 
     def test_inspect_channel_by_doppler(self, tmp_path, capsys):
-        out = tmp_path / "grid.csv"
+        out = tmp_path / "channel.csv"
         code = main(
             ["inspect-channel", "--preset", "toy", "--doppler", "1000", "--out", str(out)]
         )
         assert code == 0
-        rows = out.read_text().splitlines()
-        assert len(rows) == 32
-        assert all(len(r.split(",")) == 32 for r in rows)
-        assert "32x32" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        # 4 Doppler bins x 3 taps x 8 delay bins
+        assert len(lines) == 1 + 96
+        assert lines[0] == CHANNEL_HEADER
+        assert all(len(line.split(",")) == 4 for line in lines)
+        assert "wrote 96 coupling taps (doppler 1000 Hz)" in capsys.readouterr().out
 
-    def test_inspect_channel_by_speed(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        code = main(
-            ["inspect-channel", "--preset", "toy", "--speed-kmh", "100", "--out", str(out)]
-        )
+    def test_inspect_channel_by_speed(self, tmp_path, monkeypatch):
+        # without --out the taps go to channel.csv
+        monkeypatch.chdir(tmp_path)
+        code = main(["inspect-channel", "--preset", "toy", "--speed-kmh", "100"])
         assert code == 0
-        assert len(out.read_text().splitlines()) == 32
+        assert len((tmp_path / "channel.csv").read_text().splitlines()) == 1 + 96
 
     @pytest.mark.parametrize("doppler", ["nan", "inf"])
     def test_inspect_channel_rejects_non_finite_doppler(self, tmp_path, capsys, doppler):

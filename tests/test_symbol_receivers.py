@@ -285,6 +285,15 @@ def _zero_taps() -> chan.TimeVaryingCir:
     return chan.TimeVaryingCir((0,), np.zeros((1, 4, 8), dtype=complex))
 
 
+def test_circulant_clip_of_all_zero_grams_clips_nothing():
+    grams = chan.symbol_grams(_zero_taps())
+    with np.errstate(all="raise"):
+        taps, diag = eq.dde_build_circulant(grams, clip_threshold=0.5)
+    assert taps.delays == grams.delays
+    assert_array_equal(taps.gains, 0.0)
+    assert_array_equal(diag, 0.0)
+
+
 def test_circulant_kernels_reject_bad_arguments():
     grams = chan.symbol_grams(_zero_taps())
     with pytest.raises(ValueError):
@@ -293,6 +302,11 @@ def test_circulant_kernels_reject_bad_arguments():
     one_sided = chan.TimeVaryingCir((0, 1), np.zeros((2, 4, 8), dtype=complex))
     with pytest.raises(ValueError, match="closed under negation"):
         eq.dde_build_circulant(one_sided, clip_threshold=0.5)
+    # delays 1 and 7 are closed under negation, but without delay 0 the
+    # first tap is no diagonal
+    no_diagonal = chan.TimeVaryingCir((1, 7), np.ones((2, 4, 8), dtype=complex))
+    with pytest.raises(ValueError, match="start at 0"):
+        eq.dde_build_circulant(no_diagonal, clip_threshold=0.0)
     taps, diag = eq.dde_build_circulant(grams, clip_threshold=0.0)
     with pytest.raises(ValueError):
         eq.dde_equalize_circulant(np.zeros(31), np.zeros(31), taps, diag)
