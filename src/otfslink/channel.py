@@ -264,12 +264,19 @@ def matched_filter(cir: TimeVaryingCir, y: np.ndarray) -> np.ndarray:
 
 
 def noise_variance(snr_db: float) -> float:
-    """Complex noise variance for unit received symbol energy; +inf SNR -> 0."""
+    """Complex noise variance for unit received symbol energy; +inf SNR -> 0.
+
+    Raises ``ValueError`` for NaN, -inf, and an SNR so low that the
+    variance is not finite."""
     if snr_db == np.inf:
         return 0.0
     if not snr_db > -np.inf:
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    return float(10.0 ** (-snr_db / 10.0))
+    try:
+        # on a Python float the power raises where a numpy float gives inf
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db} is too low: its noise variance overflows") from None
 
 
 def awgn(

@@ -7,6 +7,7 @@ numerical step fails (for example a singular equalization system).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -59,11 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write |H| of one equivalent delay-Doppler channel's taps as CSV",
     )
     _add_source_options(inspect)
-    rate = inspect.add_mutually_exclusive_group(required=True)
-    rate.add_argument("--doppler", type=float, metavar="HZ")
-    rate.add_argument(
-        "--speed-kmh", type=float, metavar="KMH", help="alternative to --doppler"
-    )
+    inspect.add_argument("--doppler", type=float, required=True, metavar="HZ")
     inspect.add_argument("--out", default="channel.csv", metavar="FILE")
     return parser
 
@@ -86,6 +83,9 @@ def _load_config(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     config = _load_config(args)
+    # the CSV is written after the sweep; a path it cannot take fails first
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out} must name a file in an existing directory")
     records = harness.run_sweep(config, workers=args.workers)
     harness.emit_csv(records, args.out)
     points = len(config.snr_db_list) * len(config.doppler_hz_list)
@@ -97,13 +97,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_inspect(args: argparse.Namespace) -> None:
     config = _load_config(args)
-    doppler = (
-        args.doppler
-        if args.doppler is not None
-        else config.frame.doppler_from_speed(args.speed_kmh)
-    )
-    rows = harness.inspect_channel(config, doppler, args.out)
-    print(f"wrote {rows} coupling taps (doppler {doppler:g} Hz) to {args.out}")
+    rows = harness.inspect_channel(config, args.doppler, args.out)
+    print(f"wrote {rows} coupling taps (doppler {args.doppler:g} Hz) to {args.out}")
 
 
 def main(argv: "list[str] | None" = None) -> int:

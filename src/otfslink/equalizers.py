@@ -105,7 +105,7 @@ def mmse_solve(grams: TimeVaryingCir, noise_var: float, rhs: np.ndarray) -> np.n
 
 
 def dde_build_circulant(
-    grams: TimeVaryingCir, clip_threshold: float = 0.02
+    grams: TimeVaryingCir, clip_threshold: float
 ) -> tuple[TimeVaryingCir, np.ndarray]:
     """Cancellation stage from the per-symbol Grams' taps.
 

@@ -81,9 +81,6 @@ class FrameConfig:
         frame is at most ``cp_len`` (and below ``n_subcarriers``).
     sample_rate : float
         Baseband sample rate in Hz.
-    carrier_freq : float
-        Carrier frequency in Hz.  Informational; used only to convert
-        vehicle speed to Doppler shift.
     """
 
     n_subcarriers: int
@@ -91,7 +88,6 @@ class FrameConfig:
     _: KW_ONLY
     cp_len: int = 0
     sample_rate: float = 1.024e6
-    carrier_freq: float = 5.8e9
 
     def __post_init__(self) -> None:
         _check_field_types(self)
@@ -101,8 +97,6 @@ class FrameConfig:
             raise ValueError("cp_len must be non-negative")
         if not 0 < self.sample_rate < np.inf:
             raise ValueError("sample_rate must be finite and positive")
-        if not 0 <= self.carrier_freq < np.inf:
-            raise ValueError("carrier_freq must be finite and non-negative")
 
     @property
     def frame_size(self) -> int:
@@ -121,10 +115,6 @@ class FrameConfig:
     @property
     def bits_per_frame(self) -> int:
         return BITS_PER_QPSK_SYMBOL * self.frame_size
-
-    def doppler_from_speed(self, speed_kmh: float) -> float:
-        """Maximum Doppler shift in Hz for a given vehicle speed in km/h."""
-        return speed_kmh / 3.6 * self.carrier_freq / 299_792_458.0
 
 
 def qpsk_map(bits: np.ndarray, config: FrameConfig) -> np.ndarray:

@@ -54,6 +54,8 @@ class ExperimentConfig:
         _check_field_types(self)
         if not self.snr_db_list or not all(s > -np.inf for s in self.snr_db_list):
             raise ValueError("snr_db_list must be non-empty and hold no NaN or -inf")
+        for snr_db in self.snr_db_list:
+            chan.noise_variance(snr_db)  # raises where the variance overflows
         if not self.doppler_hz_list or not all(0 <= f < np.inf for f in self.doppler_hz_list):
             raise ValueError("doppler_hz_list must be non-empty, finite and non-negative")
         if self.n_trials < 1:
@@ -393,7 +395,6 @@ def desk_preset() -> ExperimentConfig:
         n_doppler_bins=16,
         cp_len=8,
         sample_rate=1.024e6,
-        carrier_freq=5.8e9,
     )
     profile = chan.TapProfile.from_powers_db([0, 1, 2, 3, 5, 7], chan.TU6_POWERS_DB)
     return ExperimentConfig(
@@ -419,7 +420,6 @@ def table2_preset() -> ExperimentConfig:
         n_doppler_bins=16,
         cp_len=256,
         sample_rate=40e6,
-        carrier_freq=5.8e9,
     )
     return ExperimentConfig(
         frame=frame,
@@ -441,7 +441,6 @@ def toy_preset() -> ExperimentConfig:
         n_doppler_bins=4,
         cp_len=2,
         sample_rate=64e3,
-        carrier_freq=5.8e9,
     )
     profile = chan.TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
     return ExperimentConfig(

@@ -1,9 +1,10 @@
 """Acceptance gate: the eight release criteria for this package.
 
-One test per criterion, in order, and beside criterion 4 a static
-Rayleigh anchor that prints no line.  Every tolerance and runtime bound is
-pinned here.  Each test appends a PASS or FAIL line that conftest.py prints
-in the terminal summary, so a plain pytest run shows the verdict table.
+One test per criterion, in order, and beside criterion 4 a static and a
+Doppler Rayleigh anchor that print no line.  Every tolerance and runtime
+bound is pinned here.  Each test appends a PASS or FAIL line that
+conftest.py prints in the terminal summary, so a plain pytest run shows
+the verdict table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, j0
 
 import _report
 from oracles import (
@@ -216,6 +217,48 @@ def test_static_rayleigh_single_tap_ofdm_matches_theory():
         expected = 0.5 * (1.0 - np.sqrt(g / (1.0 + g)))
         stderr = ber.std(ddof=1) / np.sqrt(ber.size)
         assert abs(ber.mean() - expected) <= 4.0 * stderr + 0.03 * expected, (
+            snr_db, ber.mean(), expected, stderr
+        )
+
+
+@pytest.mark.filterwarnings("ignore:doppler_hz \\* frame_duration:RuntimeWarning")
+def test_doppler_rayleigh_single_tap_ofdm_matches_ici_theory():
+    # beside criterion 4, not part of it: at 1280 Hz the single-tap gain is
+    # the symbol average of each tap, a complex Gaussian of power
+    # 1 - P_ICI, and the time variation inside the post-CP symbol leaks
+    # P_ICI into the other subcarriers.  Taking that leakage as Gaussian
+    # noise gives flat Rayleigh QPSK at g = (1 - P_ICI) / (P_ICI + N0) / 2,
+    # where P_ICI = 1 - mean of J0(2 pi f_d (m - n) / f_s) over the M x M
+    # sample pairs of one symbol (Li and Cimini, IEEE Trans. Commun. 2001).
+    # Tolerance, fixed before running: 4 frame-level standard errors, plus
+    # 3% of P_b for the 32-sinusoid draw (as in the static anchor) and 2%
+    # for treating the ICI as Gaussian noise independent of the gain.
+    desk = harness.desk_preset()
+    doppler_hz = 1280.0
+    config = harness.ExperimentConfig(
+        frame=desk.frame,
+        profile=desk.profile,
+        snr_db_list=(10.0, 20.0, 30.0),
+        doppler_hz_list=(doppler_hz,),
+        n_trials=300,
+        equalizers=("ofdm_single_tap",),
+    )
+    m = config.frame.n_subcarriers
+    lag = np.arange(1, m)
+    rho = j0(2.0 * np.pi * doppler_hz * lag / config.frame.sample_rate)
+    p_ici = 1.0 - (1.0 + 2.0 * np.sum((1.0 - lag / m) * rho)) / m
+    for si, snr_db in enumerate(config.snr_db_list):
+        ber = np.array([
+            harness.run_trial(
+                config, snr_db, doppler_hz, harness.sweep_trial_index(config, si, 0, t)
+            )["ofdm_single_tap"]
+            for t in range(config.n_trials)
+        ]) / config.frame.bits_per_frame
+        n0 = 10.0 ** (-snr_db / 10.0)
+        g = (1.0 - p_ici) / (p_ici + n0) / 2.0
+        expected = 0.5 * (1.0 - np.sqrt(g / (1.0 + g)))
+        stderr = ber.std(ddof=1) / np.sqrt(ber.size)
+        assert abs(ber.mean() - expected) <= 4.0 * stderr + 0.05 * expected, (
             snr_db, ber.mean(), expected, stderr
         )
 

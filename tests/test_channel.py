@@ -442,6 +442,14 @@ def test_noise_variance_values():
             noise_variance(snr_db)
 
 
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_noise_variance_rejects_a_variance_beyond_float_range(kind):
+    # Python's float power overflows with an error, numpy's returns inf
+    assert noise_variance(kind(-3000.0)) == 1e300
+    with pytest.raises(ValueError, match="noise variance"):
+        noise_variance(kind(-4000.0))
+
+
 def test_awgn_statistics():
     rng = np.random.default_rng(8)
     samples = awgn(200_000, 0.5, rng)

@@ -78,6 +78,9 @@ class TestExperimentConfig:
             {"doppler_hz_list": (float("inf"),)},
             {"snr_db_list": (10.0, float("nan"))},
             {"snr_db_list": (float("-inf"), 0.0)},
+            # SNRs whose noise variance overflows
+            {"snr_db_list": (10.0, -4000.0)},
+            {"snr_db_list": (np.float64(-4000.0),)},
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -547,7 +550,6 @@ READ_CASES = {
     "frame.n_doppler_bins": (8, 8),
     "frame.cp_len": (5, 5),
     "frame.sample_rate": (128000, 128000),
-    "frame.carrier_freq": (2.4e9, 2.4e9),
     "profile": (
         {"delays_samples": [0, 2], "powers_db": [0, -3]},
         TapProfile.from_powers_db([0, 2], [0.0, -3.0]),
@@ -953,6 +955,10 @@ class TestCli:
             lambda d: d.update(profile={"delays_us": [10**400], "powers_db": [0.0]}),
             # the channel length is the profile's; the frame has no such field
             lambda d: d["frame"].update(max_delay_taps=3),
+            # Doppler is given in Hz; the frame has no carrier frequency
+            lambda d: d["frame"].update(carrier_freq=5.8e9),
+            # an SNR whose noise variance overflows
+            lambda d: d.update(snr_db_list=[-4000]),
         ],
     )
     def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):
@@ -964,6 +970,16 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/results.csv", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys, out):
+        calls = []
+        monkeypatch.setattr(harness, "run_sweep", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--preset", "toy", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: --out ")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_is_reported(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
@@ -997,11 +1013,9 @@ class TestCli:
         assert all(len(line.split(",")) == 4 for line in lines)
         assert "wrote 96 coupling taps (doppler 1000 Hz)" in capsys.readouterr().out
 
-    def test_inspect_channel_by_speed(self, tmp_path, monkeypatch):
-        # without --out the taps go to channel.csv
+    def test_inspect_channel_writes_channel_csv_by_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code = main(["inspect-channel", "--preset", "toy", "--speed-kmh", "100"])
-        assert code == 0
+        assert main(["inspect-channel", "--preset", "toy", "--doppler", "1000"]) == 0
         assert len((tmp_path / "channel.csv").read_text().splitlines()) == 1 + 96
 
     @pytest.mark.parametrize("doppler", ["nan", "inf"])
@@ -1046,21 +1060,15 @@ class TestCli:
         assert "cannot carry Doppler" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_inspect_channel_requires_exactly_one_rate(self, tmp_path, capsys):
-        out = str(tmp_path / "grid.csv")
-        assert main(["inspect-channel", "--preset", "toy", "--out", out]) == 1
-        assert (
-            main(
-                [
-                    "inspect-channel", "--preset", "toy", "--doppler", "10",
-                    "--speed-kmh", "10", "--out", out,
-                ]
-            )
-            == 1
-        )
-        err = capsys.readouterr().err
-        assert "one of the arguments --doppler --speed-kmh is required" in err
-        assert "argument --speed-kmh: not allowed with argument --doppler" in err
+    def test_inspect_channel_requires_doppler(self, tmp_path, capsys):
+        # Doppler is given in Hz only; there is no speed to convert
+        out = tmp_path / "grid.csv"
+        assert main(["inspect-channel", "--preset", "toy", "--out", str(out)]) == 1
+        assert "the following arguments are required: --doppler" in capsys.readouterr().err
+        args = ["inspect-channel", "--preset", "toy", "--doppler", "10", "--speed-kmh", "10"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "unrecognized arguments: --speed-kmh 10" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_uses_exit_code_two(self, monkeypatch, capsys):
         def boom(config, workers=1):
