@@ -21,7 +21,6 @@ dense ``(N, M, M)`` stack.  No ``frame_size``-square matrix is formed here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +141,17 @@ def _check_profile_fits(profile: TapProfile, config: FrameConfig) -> None:
         raise ValueError(f"profile max delay {profile.max_delay} > {limit}, beyond the cyclic prefix")
 
 
+def _check_doppler(doppler_hz: float, config: FrameConfig) -> None:
+    """Raise ``ValueError`` unless ``doppler_hz`` is finite, non-negative
+    and below half the frame's sample rate: each tap sums sinusoids at
+    ``doppler_hz * cos(angle)`` sampled at ``sample_rate``, and from half
+    that rate on the draw aliases to a slower channel than the one
+    stated."""
+    limit = config.sample_rate / 2
+    if not 0 <= doppler_hz < limit:
+        raise ValueError(f"doppler_hz must be finite, non-negative and < {limit:g} Hz: {doppler_hz}")
+
+
 def generate_cir(
     profile: TapProfile,
     doppler_hz: float,
@@ -169,16 +179,8 @@ def generate_cir(
     depend on the BLAS thread count.
     ``doppler_hz = 0`` collapses every tap to a random complex constant.
     """
-    if not 0 <= doppler_hz < np.inf:
-        raise ValueError("doppler_hz must be finite and non-negative")
+    _check_doppler(doppler_hz, config)
     _check_profile_fits(profile, config)
-    if doppler_hz * config.frame_duration >= 0.5:
-        warnings.warn(
-            "doppler_hz * frame_duration >= 0.5: channel varies substantially "
-            "within one frame, block-fading interpretations do not apply",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     tap_seeds = seed_seq.spawn(len(profile.delays))
 
@@ -271,7 +273,7 @@ def noise_variance(snr_db: float) -> float:
     if snr_db == np.inf:
         return 0.0
     if not snr_db > -np.inf:
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+        raise ValueError(f"snr_db must not be NaN or -inf, got {snr_db}")
     try:
         # on a Python float the power raises where a numpy float gives inf
         return 10.0 ** (-float(snr_db) / 10.0)

@@ -15,14 +15,10 @@ import numpy as np
 from . import harness
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # route argparse failures through our exit-code policy
+    # route argparse failures through our exit-code policy, as usage errors
     def error(self, message: str):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _add_source_options(parser: argparse.ArgumentParser) -> None:
@@ -81,11 +77,22 @@ def _load_config(args: argparse.Namespace) -> harness.ExperimentConfig:
     )
 
 
+def _note_fast_fading(doppler_hz_list: tuple[float, ...], duration: float) -> None:
+    """Name on one stderr line each Doppler ``f`` at which the channel
+    varies substantially within one frame of ``duration`` seconds, ``f *
+    duration >= 0.5``.  That is the regime the two-stage receiver is built
+    for, so this is a note, not a warning."""
+    fast = [f"{f:g} Hz ({f * duration:.3g})" for f in doppler_hz_list if f * duration >= 0.5]
+    if fast:
+        print(f"note: fast fading (fd*T >= 0.5) at {', '.join(fast)}", file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> None:
     config = _load_config(args)
     # the CSV is written after the sweep; a path it cannot take fails first
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"--out {args.out} must name a file in an existing directory")
+    _note_fast_fading(config.doppler_hz_list, config.frame.frame_duration)
     records = harness.run_sweep(config, workers=args.workers)
     harness.emit_csv(records, args.out)
     points = len(config.snr_db_list) * len(config.doppler_hz_list)
@@ -98,6 +105,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
 def _cmd_inspect(args: argparse.Namespace) -> None:
     config = _load_config(args)
     rows = harness.inspect_channel(config, args.doppler, args.out)
+    _note_fast_fading((args.doppler,), config.frame.frame_duration)
     print(f"wrote {rows} coupling taps (doppler {args.doppler:g} Hz) to {args.out}")
 
 
@@ -112,7 +120,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except np.linalg.LinAlgError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -52,12 +52,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
-        if not self.snr_db_list or not all(s > -np.inf for s in self.snr_db_list):
-            raise ValueError("snr_db_list must be non-empty and hold no NaN or -inf")
+        if not self.snr_db_list or not self.doppler_hz_list:
+            raise ValueError("snr_db_list and doppler_hz_list must be non-empty")
         for snr_db in self.snr_db_list:
-            chan.noise_variance(snr_db)  # raises where the variance overflows
-        if not self.doppler_hz_list or not all(0 <= f < np.inf for f in self.doppler_hz_list):
-            raise ValueError("doppler_hz_list must be non-empty, finite and non-negative")
+            chan.noise_variance(snr_db)  # raises for NaN, -inf and an overflowing variance
+        for doppler_hz in self.doppler_hz_list:
+            chan._check_doppler(doppler_hz, self.frame)
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.base_seed < 0:

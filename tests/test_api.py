@@ -61,14 +61,13 @@ def test_runtime_imports_no_scipy():
     # a fresh process, since the test suite itself imports scipy; numpy's
     # lazily loaded FFT and random submodules come with the package
     script = (
-        "import sys, warnings\n"
+        "import sys\n"
         "from dataclasses import replace\n"
         "import otfslink\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not scipy_modules(), scipy_modules()\n"
         "assert 'numpy.fft' in sys.modules and 'numpy.random' in sys.modules\n"
-        "warnings.simplefilter('ignore', RuntimeWarning)\n"
         "from otfslink import harness\n"
         "desk = harness.desk_preset()\n"
         "assert len(harness.run_trial(desk, 20.0, 1280.0, 0)) == 5\n"
@@ -79,7 +78,7 @@ def test_runtime_imports_no_scipy():
     src = str(Path(otfslink.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -44,13 +42,6 @@ TOY = FrameConfig(
     n_subcarriers=8, n_doppler_bins=4, cp_len=2, sample_rate=64e3
 )
 THREE_TAPS = TapProfile.from_powers_db([0, 1, 2], [0.0, 0.0, 0.0])
-
-
-def fast_cir(profile, doppler_hz, config, seed):
-    """generate_cir with the expected fast-fading warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return generate_cir(profile, doppler_hz, config, seed)
 
 
 class TestFdeBuild:
@@ -200,7 +191,7 @@ class TestDdeEqualize:
 
     def test_genie_cancellation_identity(self):
         # true symbols in, clip 0: output reduces to the scaled transmit vector
-        cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=43)
+        cir = generate_cir(THREE_TAPS, 1000.0, TOY, seed=43)
         h_eq = build_equivalent_channel(build_time_channel_matrix(cir, TOY), TOY)
         bits = random_bits(TOY.bits_per_frame, np.random.default_rng(43))
         x = qpsk_map(bits, TOY)
@@ -217,7 +208,7 @@ class TestDdeEqualize:
 
     def test_input_symbols_are_sliced_before_reconstruction(self):
         # noisy stage-one estimates act only through their hard decisions
-        cir = fast_cir(THREE_TAPS, 1000.0, TOY, seed=47)
+        cir = generate_cir(THREE_TAPS, 1000.0, TOY, seed=47)
         h_eq = build_equivalent_channel(build_time_channel_matrix(cir, TOY), TOY)
         bits = random_bits(TOY.bits_per_frame, np.random.default_rng(47))
         x = qpsk_map(bits, TOY)

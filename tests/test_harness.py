@@ -81,6 +81,9 @@ class TestExperimentConfig:
             # SNRs whose noise variance overflows
             {"snr_db_list": (10.0, -4000.0)},
             {"snr_db_list": (np.float64(-4000.0),)},
+            # from half the sample rate on, the channel draw aliases
+            {"doppler_hz_list": (0.0, TOY_FRAME.sample_rate / 2)},
+            {"doppler_hz_list": (1e308,)},
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -173,7 +176,6 @@ class TestSweepTrialIndex:
         assert seen == list(range(120))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestRunTrial:
     def test_deterministic(self):
         config = toy_config(doppler_hz_list=(0.0, 1000.0))
@@ -280,7 +282,6 @@ class TestRunTrial:
             },
         ]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("preset", ["desk", "table2"])
     def test_two_stage_path_builds_no_dense_blocks(self, monkeypatch, preset):
         # only the two full-MMSE references scatter taps into (M, M) blocks
@@ -321,10 +322,9 @@ class TestRunTrial:
         # the heap; glibc trimming the freed frame arrays cost 540 faults per
         # frame on the table2_fast list and 3,433 on the default list
         script = (
-            "import resource, warnings\n"
+            "import resource\n"
             "from dataclasses import replace\n"
             "from otfslink import harness\n"
-            "warnings.simplefilter('ignore', RuntimeWarning)\n"
             "table2 = harness.table2_preset()\n"
             "fast = replace(table2, equalizers=('otfs_fde', 'ofdm_single_tap'))\n"
             "for config, n_frames in ((fast, 20), (table2, 5)):\n"
@@ -339,7 +339,7 @@ class TestRunTrial:
         src = str(Path(otfslink.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
@@ -401,7 +401,6 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             harness.run_sweep(toy_config(), workers=0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
         # a fork-context pool starts all of its workers at once; a fake
         # pool records its size and the chunks it is sent and runs them
@@ -789,7 +788,6 @@ def trial_zero_channel(monkeypatch, config, doppler_hz):
     return cir
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestInspectChannel:
     def test_writes_one_row_per_coupling_tap(self, tmp_path):
         path = tmp_path / "channel.csv"
@@ -844,10 +842,7 @@ class TestInspectChannel:
         assert peak < dense_bytes
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCli:
-    # the toy preset sweeps fast-fading Doppler points that legitimately
-    # trigger the channel-variation warning
     def test_run_preset_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
         code = main(["run", "--preset", "toy", "--trials", "2", "--out", str(out)])
@@ -856,6 +851,22 @@ class TestCli:
         # 3 SNRs x 4 Dopplers x 5 equalizers
         assert len(records) == 60
         assert "wrote 60 records" in capsys.readouterr().out
+
+    def test_fast_fading_is_noted_once_per_command(self, tmp_path, capfd):
+        # a toy frame lasts 625 us, so fd*T is 0.625, 1.88 and 3.75 at the
+        # preset's non-zero Dopplers; capfd also sees the forked worker
+        out = str(tmp_path / "results.csv")
+        argv = ["run", "--preset", "toy", "--trials", "1", "--workers", "2", "--out", out]
+        assert main(argv) == 0
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "fd*T" in lines[0]
+        assert re.findall(r"(\S+) Hz", lines[0]) == ["1000", "3000", "6000"]
+        out = str(tmp_path / "channel.csv")
+        assert main(["inspect-channel", "--preset", "desk", "--doppler", "0", "--out", out]) == 0
+        assert capfd.readouterr().err == ""
+        assert main(["inspect-channel", "--preset", "desk", "--doppler", "1280", "--out", out]) == 0
+        assert re.findall(r"(\S+) Hz \((\S+)\)", capfd.readouterr().err) == [("1280", "1.44")]
 
     def test_run_accepts_equalizer_subset(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -959,6 +970,8 @@ class TestCli:
             lambda d: d["frame"].update(carrier_freq=5.8e9),
             # an SNR whose noise variance overflows
             lambda d: d.update(snr_db_list=[-4000]),
+            # a Doppler far above half the sample rate
+            lambda d: d.update(doppler_hz_list=[1e308]),
         ],
     )
     def test_mistyped_config_file_is_usage_error(self, tmp_path, capsys, mutate):
@@ -1018,7 +1031,7 @@ class TestCli:
         assert main(["inspect-channel", "--preset", "toy", "--doppler", "1000"]) == 0
         assert len((tmp_path / "channel.csv").read_text().splitlines()) == 1 + 96
 
-    @pytest.mark.parametrize("doppler", ["nan", "inf"])
+    @pytest.mark.parametrize("doppler", ["nan", "inf", "1e308"])
     def test_inspect_channel_rejects_non_finite_doppler(self, tmp_path, capsys, doppler):
         out = tmp_path / "grid.csv"
         args = ["inspect-channel", "--preset", "toy", "--doppler", doppler]
@@ -1026,7 +1039,6 @@ class TestCli:
         assert "doppler_hz must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inspect_channel_seed_is_the_base_seed(self, tmp_path):
         out = tmp_path / "cli.csv"
         args = ["inspect-channel", "--preset", "desk", "--doppler", "1280", "--seed", "7"]
